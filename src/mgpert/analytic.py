@@ -185,7 +185,9 @@ def implied_vol_array(prices, spot, strikes, tau, r, kind="call"):
     """Vectorized implied-vol inversion; NaN where the price is uninvertible.
 
     Same bracket and tolerance as implied_vol; bisection with a Newton
-    acceleration step, which is robust for noisy Monte Carlo prices.
+    acceleration step, which is robust for noisy Monte Carlo prices.  An
+    entry that is still outside the tolerance after IV_MAX_ITER iterations
+    is NaN too, where implied_vol raises NoConvergence.
     """
     prices = np.asarray(prices, dtype=float)
     spot_b, strikes_b, prices = np.broadcast_arrays(
@@ -222,6 +224,9 @@ def implied_vol_array(prices, spot, strikes, tau, r, kind="call"):
         mid = 0.5 * (lo + hi)
         step = np.where((vega > 1e-12) & (newton > lo) & (newton < hi), newton, mid)
         sigma = np.where(active & ~done, step, sigma)
+    else:
+        # iteration cap: entries still outside the tolerance have no answer
+        ok &= done | ~active
 
     out = np.where(ok, sigma, np.nan)
     out = np.where(clamp_lo, IV_MIN, out)

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .analytic import bs_price, implied_vol_array
 from .errors import EmptyQuoteSet, InvalidParams
@@ -59,28 +58,38 @@ class QuoteSet:
             raise EmptyQuoteSet("quote set must be nonempty")
 
     def arrays(self):
-        """(spot, strike, tau, variance, observed_iv) arrays over usable quotes."""
+        """(spot, strike, tau, variance, observed_iv) arrays over usable quotes.
+
+        Price quotes are inverted with one implied_vol_array call per
+        (kind, maturity) group; the arrays keep the quotes' order.
+        """
         if "arrays" not in self._cache:
-            spot, strike, tau, var, iv = [], [], [], [], []
-            n_dropped = 0
-            for q in self.quotes:
-                if q.iv is not None:
-                    q_iv = q.iv
-                else:
-                    got = implied_vol_array(
-                        q.price, q.opt.spot, q.opt.strike, q.opt.tau_cal, self.r, q.opt.kind
-                    )
-                    q_iv = float(got)
-                    if not np.isfinite(q_iv):
-                        n_dropped += 1
-                        continue
-                spot.append(q.opt.spot)
-                strike.append(q.opt.strike)
-                tau.append(q.opt.tau_cal)
-                var.append(q.opt.variance)
-                iv.append(q_iv)
-            self._cache["arrays"] = tuple(np.asarray(v) for v in (spot, strike, tau, var, iv))
-            self._cache["n_dropped"] = n_dropped
+            iv = [q.iv for q in self.quotes]
+            groups = {}
+            for i, q in enumerate(self.quotes):
+                if q.iv is None:
+                    groups.setdefault((q.opt.kind, q.opt.tau_cal), []).append(i)
+            for (kind, tau), idx in groups.items():
+                qs = [self.quotes[i] for i in idx]
+                got = implied_vol_array(
+                    [q.price for q in qs], [q.opt.spot for q in qs], [q.opt.strike for q in qs],
+                    tau, self.r, kind,
+                )
+                for i, q_iv in zip(idx, got.tolist()):
+                    iv[i] = q_iv if math.isfinite(q_iv) else None
+            keep = [i for i, q_iv in enumerate(iv) if q_iv is not None]
+            opts = [self.quotes[i].opt for i in keep]
+            self._cache["arrays"] = tuple(
+                np.asarray(col)
+                for col in (
+                    [o.spot for o in opts],
+                    [o.strike for o in opts],
+                    [o.tau_cal for o in opts],
+                    [o.variance for o in opts],
+                    [iv[i] for i in keep],
+                )
+            )
+            self._cache["n_dropped"] = len(self.quotes) - len(keep)
         return self._cache["arrays"]
 
     @property
@@ -154,6 +163,9 @@ def ivrmse(quotes: QuoteSet, theta) -> float:
 
 def _nelder_mead(objective, z0):
     """NM with one restart from the best vertex, per the stopping rule."""
+    # imported here: scipy.optimize costs about 0.4 s, and pricing never uses it
+    from scipy.optimize import minimize
+
     res = minimize(
         objective,
         z0,

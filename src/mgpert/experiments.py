@@ -212,6 +212,10 @@ def run_timeseries_experiment(
         jobs.append((spec, mg, _path_seed(seed, path_id), path_id, sigma0))
 
     if n_workers > 1:
+        # calibrate imports the optimizer lazily; loading it before the workers
+        # fork lets them share its pages rather than each import a copy
+        import scipy.optimize  # noqa: F401
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
             per_path = list(pool.map(_run_one_path, jobs))
     else:

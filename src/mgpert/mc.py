@@ -106,12 +106,46 @@ class TimeSeriesSpec:
             raise InvalidParams("n_sample_paths and n_obs must be >= 1")
 
 
-def step_euler(s, v, dt, z_s, z_v, mg: MgParams):
-    """One explicit Euler step; the drift/diffusion consume V+ = max(V, 0)."""
-    v_plus = np.maximum(v, 0.0)
-    s_next = s + mg.r * s * dt + s * np.sqrt(v_plus * dt) * z_s
-    v_next = v + mg.kappa * (mg.theta - v_plus) * dt + mg.xi * v_plus**mg.alpha * math.sqrt(dt) * z_v
-    return s_next, v_next
+def step_euler(s, v, dt, z_s, z_v, mg: MgParams, work=None):
+    """One explicit Euler step; the drift/diffusion consume V+ = max(V, 0).
+
+    S' = S + (r S) dt + (S sqrt(V+ dt)) z_s
+    V' = V + (kappa (theta - V+)) dt + ((xi V+^alpha) sqrt(dt)) z_v
+
+    With work = three float arrays shaped like s, the step updates s and v
+    in place through those buffers and allocates nothing; without it, new
+    arrays are returned and the inputs are left unchanged.  Both forms keep
+    the association order above, so they give the same bytes as evaluating
+    it directly.  The r term is skipped when r == 0 (s + 0.0 == s) and the
+    power when alpha == 1 (v**1.0 == v), both exact.
+    """
+    if work is None:
+        s, v = np.array(s, dtype=float), np.array(v, dtype=float)
+        work = (np.empty_like(s), np.empty_like(s), np.empty_like(s))
+    v_plus, a, b = work
+    np.maximum(v, 0.0, out=v_plus)
+
+    np.multiply(v_plus, dt, out=a)
+    np.sqrt(a, out=a)
+    np.multiply(s, a, out=a)
+    np.multiply(a, z_s, out=a)
+    if mg.r != 0.0:
+        np.multiply(mg.r, s, out=b)
+        np.multiply(b, dt, out=b)
+        np.add(s, b, out=s)
+    np.add(s, a, out=s)
+
+    np.subtract(mg.theta, v_plus, out=a)
+    np.multiply(mg.kappa, a, out=a)
+    np.multiply(a, dt, out=a)
+    np.add(v, a, out=v)
+    if mg.alpha != 1.0:
+        np.power(v_plus, mg.alpha, out=v_plus)
+    np.multiply(mg.xi, v_plus, out=a)
+    np.multiply(a, math.sqrt(dt), out=a)
+    np.multiply(a, z_v, out=a)
+    np.add(v, a, out=v)
+    return s, v
 
 
 def _first_step_shocks(rng, cfg: McConfig, rho: float):
@@ -132,9 +166,16 @@ def _first_step_shocks(rng, cfg: McConfig, rho: float):
     return z_s, z_v
 
 
-def _step_shocks(rng, n, rho):
-    z_v = rng.standard_normal(n)
-    z_s = rho * z_v + math.sqrt(1.0 - rho**2) * rng.standard_normal(n)
+def _step_shocks(rng, n, rho, out=None):
+    """Correlated normals for one step: z_v is drawn first, then the asset's
+    own normal.  With out = (z_s, z_v, scratch), three n-wide buffers, the
+    draws fill them in place."""
+    z_s, z_v, own = out if out is not None else (np.empty(n), np.empty(n), np.empty(n))
+    rng.standard_normal(out=z_v)
+    rng.standard_normal(out=own)
+    np.multiply(rho, z_v, out=z_s)
+    np.multiply(math.sqrt(1.0 - rho**2), own, out=own)
+    np.add(z_s, own, out=z_s)
     return z_s, z_v
 
 
@@ -151,29 +192,38 @@ def simulate_terminal(
 
     Returns an array of shape (len(maturity_steps), n_paths).  Antithetic
     partners occupy the second half of the path axis.
+
+    Every buffer is allocated once per call, and each step draws into it
+    and advances the state in place (step_euler with work buffers).  The
+    draws come in the same order from the same stream as with freshly
+    allocated arrays, so the output is bit-identical to that form.
     """
     if rng is None:
         rng = _philox(cfg.seed)
     maturity_steps = list(maturity_steps)
     n_steps = max(maturity_steps)
     n = cfg.n_base
+    m = n * 2 if cfg.antithetic else n
 
-    s = np.full(n * 2 if cfg.antithetic else n, float(spot))
-    v = np.full_like(s, float(variance))
-    snapshots = np.empty((len(maturity_steps), s.size))
+    s = np.full(m, float(spot))
+    v = np.full(m, float(variance))
+    work = (np.empty(m), np.empty(m), np.empty(m))
+    z_s, z_v = np.empty(m), np.empty(m)
+    drawn = (z_s[:n], z_v[:n], np.empty(n))  # the independent half, and scratch
+    snapshots = np.empty((len(maturity_steps), m))
     snap_at = {step: i for i, step in enumerate(maturity_steps)}
     if 0 in snap_at:
         snapshots[snap_at[0]] = s
 
     for k in range(1, n_steps + 1):
         if k == 1:
-            z_s, z_v = _first_step_shocks(rng, cfg, mg.rho)
+            z_s[:n], z_v[:n] = _first_step_shocks(rng, cfg, mg.rho)
         else:
-            z_s, z_v = _step_shocks(rng, n, mg.rho)
+            _step_shocks(rng, n, mg.rho, drawn)
         if cfg.antithetic:
-            z_s = np.concatenate([z_s, -z_s])
-            z_v = np.concatenate([z_v, -z_v])
-        s, v = step_euler(s, v, dt, z_s, z_v, mg)
+            np.negative(z_s[:n], out=z_s[n:])
+            np.negative(z_v[:n], out=z_v[n:])
+        step_euler(s, v, dt, z_s, z_v, mg, work)
         if k in snap_at:
             snapshots[snap_at[k]] = s
     return snapshots

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mgpert import analytic
 from mgpert.analytic import (
     bs_price,
     bs_vega,
@@ -200,6 +201,18 @@ class TestImpliedVol:
             np.array([200.0, 5.0]), 100.0, np.array([100.0, 100.0]), 0.25, 0.0
         )
         assert math.isnan(got[0]) and got[1] == pytest.approx(0.3, abs=0.2)
+
+    def test_array_nan_at_iteration_cap(self, monkeypatch):
+        strikes = np.array([90.0, 100.0, 110.0])
+        prices = bs_price(100.0, strikes, 0.25, 0.0, np.array([0.3, 0.45, 0.2]), "call")
+        prices = np.append(prices, 200.0)
+        full = implied_vol_array(prices, 100.0, np.append(strikes, 100.0), 0.25, 0.0)
+        np.testing.assert_allclose(full[:3], [0.3, 0.45, 0.2], atol=1e-7)
+        # one iteration: only the entry already at the 0.3 starting point converged
+        monkeypatch.setattr(analytic, "IV_MAX_ITER", 1)
+        capped = implied_vol_array(prices, 100.0, np.append(strikes, 100.0), 0.25, 0.0)
+        assert capped[0] == 0.3
+        assert np.isnan(capped[1:]).all()
 
     def test_put_inversion(self):
         opt = OptionSpec(spot=100.0, strike=110.0, tau_cal=0.5, kind="put")

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from mgpert.analytic import implied_vol_array
+from mgpert.analytic import bs_price, implied_vol_array
 from mgpert.calibration import (
     PENALTY_RESIDUAL,
     Quote,
@@ -59,6 +59,34 @@ class TestQuoteSet:
         spot, *_ = qs.arrays()
         assert spot.size == 1
         assert qs.n_dropped == 1
+
+    def test_batched_inversion_matches_per_quote(self):
+        # two maturities, calls and a put, an IV quote and an uninvertible price
+        quotes = []
+        for tau in (TAU, 0.25):
+            for k in (90.0, 100.0, 110.0):
+                opt = OptionSpec(spot=100.0, strike=k, tau_cal=tau, variance=0.09)
+                quotes.append(Quote(opt=opt, price=float(bs_price(100.0, k, tau, 0.01, 0.3))))
+        put = OptionSpec(spot=100.0, strike=105.0, tau_cal=TAU, kind="put", variance=0.09)
+        quotes.insert(2, Quote(opt=put, price=float(bs_price(100.0, 105.0, TAU, 0.01, 0.35, "put"))))
+        quotes.insert(4, Quote(opt=quotes[0].opt, price=150.0))
+        quotes.insert(1, Quote(opt=quotes[0].opt, iv=0.27))
+        qs = QuoteSet(quotes=quotes, r=0.01)
+
+        expected = []
+        for q in quotes:
+            if q.iv is not None:
+                expected.append((q, q.iv))
+                continue
+            o = q.opt
+            got = float(implied_vol_array(q.price, o.spot, o.strike, o.tau_cal, 0.01, o.kind))
+            if math.isfinite(got):
+                expected.append((q, got))
+        spot, strike, tau, var, iv = qs.arrays()
+        assert qs.n_dropped == 1
+        assert strike.tolist() == [q.opt.strike for q, _ in expected]
+        assert tau.tolist() == [q.opt.tau_cal for q, _ in expected]
+        assert iv.tobytes() == np.array([v for _, v in expected]).tobytes()
 
 
 class TestIvrmse:

@@ -14,6 +14,14 @@ def run_cli(*args, timeout=300):
     )
 
 
+def test_cli_import_leaves_optimizer_unloaded():
+    # scipy.optimize is imported on the first calibration, not at start-up
+    code = "import sys, mgpert.cli; print('scipy.optimize' in sys.modules)"
+    p = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.strip() == "False"
+
+
 class TestPriceCommand:
     def test_expiry_payoff(self):
         p = run_cli("price", "--days", "0", "--spot", "110", "--strike", "100",
