@@ -1,10 +1,9 @@
 """IVRMSE objective and parameter estimation.
 
-The fitted vector is (kappa, xi, alpha, sigma): the structural parameters
-theta and rho never enter the perturbative price, and xi0 is tied to the
-others through xi0 = xi * sigma^(2(alpha-1)).  The objective is the root
-mean square of implied-volatility residuals between observed quotes and
-the perturbative model.
+The perturbative price depends on (kappa, xi, alpha) only through R2 = 1 + sqrt(2) gamma /
+(sigma xi0), with gamma = -kappa - xi0^2 and xi0 = xi * sigma^(2(alpha-1)); theta and rho never
+enter it, so the fit searches (sigma, R2) alone.  The objective is the root mean square of
+implied-vol residuals between observed quotes and the perturbative model.
 """
 
 from __future__ import annotations
@@ -106,6 +105,7 @@ class CalibResult:
     iterations: int
     converged: bool
     residuals: np.ndarray
+    n_evals: int = 0  # IVRMSE objective evaluations
 
 
 def pert_price_grid(spot, strike, tau, variance, r, kappa, xi, alpha, sigma):
@@ -183,12 +183,12 @@ def _nelder_mead(objective, z0):
 
 
 def calibrate(quotes: QuoteSet, initial, fix_structurals: bool = False) -> CalibResult:
-    """Fit (kappa, xi, alpha, sigma) by Nelder-Mead on the IVRMSE surface.
+    """Fit (sigma, R2) by Nelder-Mead over z = (log sigma, log q), q = (1 - R2) sigma / sqrt(2).
 
-    Positivity of kappa, xi, sigma is enforced by optimizing their logs;
-    alpha is searched raw.  With fix_structurals=True only sigma moves (the
-    static cross-section exercise).  Never raises on a flat search: returns
-    the best point found with converged=False.
+    q = (kappa + xi0^2) / xi0 > 0 covers every R2 that positive kappa, xi reach.  alpha and
+    c = kappa / xi0^2 keep their start values: xi0 = q / (1 + c), kappa = c xi0^2,
+    xi = xi0 sigma^(2(1-alpha)).  fix_structurals=True moves sigma alone (the static study).
+    Never raises on a flat search: returns the best point found with converged=False.
     """
     kappa0, xi0, alpha0, sigma0 = initial
     if not (kappa0 > 0 and xi0 > 0 and sigma0 > 0 and alpha0 > 0):
@@ -201,24 +201,23 @@ def calibrate(quotes: QuoteSet, initial, fix_structurals: bool = False) -> Calib
 
         z0 = np.array([math.log(sigma0)])
     else:
+        sym0 = xi0 * sigma0 ** (2.0 * (alpha0 - 1.0))  # the start's xi0
+        c = kappa0 / sym0**2
 
         def unpack(z):
-            return (math.exp(z[0]), math.exp(z[1]), z[2], math.exp(z[3]))
+            sigma, sym = math.exp(z[0]), math.exp(z[1]) / (1.0 + c)
+            return (c * sym**2, sym * sigma ** (2.0 * (1.0 - alpha0)), float(alpha0), sigma)
 
-        z0 = np.array([math.log(kappa0), math.log(xi0), alpha0, math.log(sigma0)])
+        z0 = np.array([math.log(sigma0), math.log((kappa0 + sym0**2) / sym0)])
+
+    n_evals = 0
 
     def objective(z):
-        theta = unpack(z)
-        # the objective is nearly flat in kappa/xi/alpha when the correction
-        # term is small; a plausibility box stops the simplex from drifting
-        # to absurd magnitudes along unidentified directions
-        kappa, xi, alpha, sigma = theta
-        if not (1e-4 <= kappa <= 1e4 and 1e-4 <= xi <= 1e4
-                and 0.0 < alpha <= 5.0 and 1e-4 <= sigma <= 10.0):
-            return 10.0 * PENALTY_RESIDUAL
+        nonlocal n_evals
+        n_evals += 1
         try:
-            return ivrmse(quotes, theta)
-        except (FloatingPointError, OverflowError):
+            return ivrmse(quotes, unpack(z))
+        except (FloatingPointError, OverflowError, InvalidParams):  # e.g. exp underflow to 0
             return 10.0 * PENALTY_RESIDUAL
 
     best, n_iter = _nelder_mead(objective, z0)
@@ -233,4 +232,5 @@ def calibrate(quotes: QuoteSet, initial, fix_structurals: bool = False) -> Calib
         iterations=n_iter,
         converged=converged,
         residuals=resid,
+        n_evals=n_evals,
     )

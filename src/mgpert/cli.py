@@ -87,10 +87,11 @@ def dump_json(pairs) -> str:
 
 
 def config_hash(ns: argparse.Namespace) -> str:
-    """Short digest of the fully resolved option set, for output headers."""
+    """Short digest of the resolved options that change results, for output headers."""
     parts = []
     for key in sorted(vars(ns)):
-        if key in ("config", "func"):
+        # where output goes and how many workers make it never change its contents
+        if key in ("config", "func", "out", "out_dir", "threads"):
             continue
         parts.append(f"{key}={vars(ns)[key]!r}")
     blob = " ".join(parts)
@@ -305,14 +306,12 @@ def cmd_experiment(ns) -> int:
         return EXIT_OK
 
     if ns.full:
-        spec = TimeSeriesSpec(n_sample_paths=100, n_obs=52,
-                              mc=McConfig(n_paths=50_000, steps_per_day=ns.steps_per_day,
-                                          seed=ns.seed))
+        sample_paths, obs, paths = 100, 52, 50_000
     else:
-        spec = TimeSeriesSpec(n_sample_paths=ns.sample_paths, n_obs=ns.obs,
-                              mc=McConfig(n_paths=ns.paths,
-                                          steps_per_day=ns.steps_per_day,
-                                          seed=ns.seed))
+        sample_paths, obs, paths = ns.sample_paths, ns.obs, ns.paths
+    spec = TimeSeriesSpec(n_sample_paths=sample_paths, n_obs=obs,
+                          mc=McConfig(n_paths=paths, steps_per_day=ns.steps_per_day,
+                                      n_strata=ns.strata, seed=ns.seed))
     report = run_timeseries_experiment(ns.dataset, spec=spec, seed=ns.seed,
                                        n_workers=ns.threads)
     write_timeseries_report(report, ns.out_dir, comment)
@@ -380,29 +379,31 @@ def build_parser():
                   "worker processes; must not change results [count]"),
     ]
     _add_flags(p, exp_flags)
-    p.add_argument("--desk-scale", action="store_true", default=argparse.SUPPRESS,
-                   help="10 paths x 12 obs x 10^4 sims (the default scale)")
     p.add_argument("--full", action="store_true", default=argparse.SUPPRESS,
-                   help="100 paths x 52 obs x 5*10^4 sims")
+                   help="100 paths x 52 obs x 5*10^4 sims; excludes --paths, "
+                        "--sample-paths and --obs")
     p.add_argument("--config", default=None, help="flat key=value config file [path]")
     defaults = _defaults(exp_flags)
-    defaults.update({"desk_scale": False, "full": False})
+    defaults["full"] = False
     table["experiment"] = (p, defaults, cmd_experiment)
 
     return parser, table
 
 
 def _resolve(argv, parser, table):
-    """defaults < config file < explicit flags, then dispatch info."""
+    """defaults < config file < explicit flags; returns the options, the
+    handler and the set of keys given by a flag or the config file."""
     ns = parser.parse_args(argv)
     command = ns.command
     cmd_parser, defaults, handler = table[command]
     resolved = dict(defaults)
+    given = set()
     if getattr(ns, "config", None):
         specs = {s.dest: s for group in (MODEL_FLAGS, CONTRACT_FLAGS, MC_FLAGS,
                                          QUAD_FLAGS, [SIGMA_FLAG, V0_FLAG])
                  for s in group}
         raw = read_config_file(ns.config, set(defaults))
+        given.update(raw)
         for key, text in raw.items():
             caster = specs[key].type if key in specs else type(defaults[key])
             if caster is bool:
@@ -412,17 +413,19 @@ def _resolve(argv, parser, table):
         if key in ("config",):
             continue
         resolved[key] = value
+        given.add(key)
     out = argparse.Namespace(**resolved)
-    return out, handler
+    return out, handler, given
 
 
 def main(argv=None) -> int:
     parser, table = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        ns, handler = _resolve(argv, parser, table)
-        if getattr(ns, "command", None) == "experiment" and ns.full and ns.desk_scale:
-            raise InvalidParams("--full and --desk-scale are mutually exclusive")
+        ns, handler, given = _resolve(argv, parser, table)
+        if getattr(ns, "full", False) and given & {"paths", "sample_paths", "obs"}:
+            raise InvalidParams("--full sets the paths, sample paths and observations; "
+                                "give none of --paths, --sample-paths, --obs with it")
         return handler(ns)
     except (InvalidParams, NonpositiveVariance, OutOfBounds) as exc:
         print(f"error: {exc}", file=sys.stderr)

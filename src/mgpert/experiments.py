@@ -3,9 +3,9 @@
 The static exercise simulates a Monte Carlo surface per initial-volatility
 scenario and fits only sigma (structural parameters pinned at the
 simulation truth).  The time-series exercise generates the weekly panel,
-fits the full (kappa, xi, alpha, sigma) per sample path with the true
-latent variance passed through, and reports parameter and error summary
-statistics.
+fits (sigma, R2) per sample path with the true latent variance passed
+through, reports (kappa, xi, alpha, sigma) under calibrate's convention,
+and gives parameter and error summary statistics.
 """
 
 from __future__ import annotations

@@ -22,6 +22,14 @@ EPS_DEGENERATE = 1e-10
 DEFAULT_V0 = 1.0
 
 
+def _require_finite(obj, *names):
+    """NaN and infinities pass every ordering check, so reject them first."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise InvalidParams(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class MgParams:
     """Structural parameters of the two-factor stochastic-volatility model.
@@ -42,6 +50,7 @@ class MgParams:
     r: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self, "kappa", "theta", "xi", "rho", "alpha", "r")
         if not self.kappa > 0:
             raise InvalidParams(f"kappa must be > 0, got {self.kappa}")
         if not self.theta > 0:
@@ -80,6 +89,7 @@ class PerturbParams:
     v0: float = DEFAULT_V0
 
     def __post_init__(self):
+        _require_finite(self, "sigma", "xi0", "v0")
         if not self.sigma > 0:
             raise InvalidParams(f"sigma must be > 0, got {self.sigma}")
         if not self.xi0 > 0:
@@ -148,6 +158,7 @@ class OptionSpec:
     variance: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self, "spot", "strike", "tau_cal", "variance")
         if not self.spot > 0:
             raise InvalidParams(f"spot must be > 0, got {self.spot}")
         if not self.strike > 0:
@@ -173,10 +184,9 @@ class HeatCoords:
     tau: float
 
     def __post_init__(self):
+        _require_finite(self, "x", "y", "tau")
         if self.tau < 0:
             raise InvalidParams(f"tau must be >= 0, got {self.tau}")
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise InvalidParams("x and y must be finite")
 
 
 def to_heat_coords(opt: OptionSpec, pert: PerturbParams) -> HeatCoords:

@@ -295,9 +295,7 @@ class TestAcceptance:
                     "--steps-per-day", "2", "--threads", threads,
                     "--out-dir", str(d))
             bodies.append(
-                (p.stdout,
-                 (d / "table2.csv").read_text().splitlines()[1:],
-                 (d / "table3.csv").read_text().splitlines()[1:])
+                (p.stdout, (d / "table2.csv").read_text(), (d / "table3.csv").read_text())
             )
         threads_same = bodies[0] == bodies[1]
         ok = all(same) and threads_same

@@ -3,8 +3,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from mgpert.analytic import bs_price, implied_vol_array
+from mgpert import calibration
+from mgpert.analytic import bs_price, implied_vol_array, price_mg
 from mgpert.calibration import (
     PENALTY_RESIDUAL,
     Quote,
@@ -14,7 +16,9 @@ from mgpert.calibration import (
     pert_price_grid,
 )
 from mgpert.errors import EmptyQuoteSet, InvalidParams
-from mgpert.params import OptionSpec
+from mgpert.experiments import DATASETS
+from mgpert.mc import DAYS_PER_YEAR
+from mgpert.params import OptionSpec, PerturbParams
 
 THETA = (1.5, 1.5, 1.0, 0.2865)  # (kappa, xi, alpha, sigma)
 TAU = 30 / 365
@@ -35,6 +39,34 @@ def synthetic_quotes(theta, n=10, tau=TAU, variance=0.09, iv_shift=0.0):
         else:
             quotes.append(Quote(opt=opt, price=float(p)))
     return QuoteSet(quotes=quotes, r=0.0)
+
+
+def panel_quotes(seed):
+    """A 601-quote set: 12 variances x 6 maturities x 10 moneyness priced at
+    data set 1 with sigma = sqrt(theta), kept where |C1 / (C0 + C1)| < 0.05,
+    with seeded N(0, 0.005^2) implied-vol noise, given as prices."""
+    mg = DATASETS[1]
+    pert = PerturbParams.from_mg(mg, math.sqrt(mg.theta))
+    kept = []
+    for v in np.geomspace(0.01, 0.47, 12):
+        for days in (7, 30, 60, 90, 120, 180):
+            for m in np.round(np.linspace(0.9, 1.1, 10), 6):
+                opt = OptionSpec(spot=100.0, strike=100.0 * m, tau_cal=days / DAYS_PER_YEAR,
+                                 variance=float(v))
+                bd = price_mg(opt, mg, pert)
+                if (max(opt.spot - opt.strike, 0.0) < bd.total < opt.spot
+                        and abs(bd.c1 / bd.total) < 0.05):
+                    kept.append((opt, bd.total))
+    strikes = np.array([o.strike for o, _ in kept])
+    taus = np.array([o.tau_cal for o, _ in kept])
+    totals = np.array([t for _, t in kept])
+    iv = np.empty_like(totals)
+    for t in np.unique(taus):
+        sel = taus == t
+        iv[sel] = implied_vol_array(totals[sel], 100.0, strikes[sel], t, 0.0)
+    eps = np.random.default_rng(seed).normal(0.0, 0.005, totals.size)
+    prices = bs_price(100.0, strikes, taus, 0.0, iv + eps)
+    return QuoteSet(quotes=[Quote(opt=o, price=float(p)) for (o, _), p in zip(kept, prices)])
 
 
 class TestQuoteSet:
@@ -128,6 +160,24 @@ class TestPertPriceGrid:
             opt = OptionSpec(spot=100.0, strike=float(k), tau_cal=TAU, variance=0.09)
             assert got == pytest.approx(price_mg(opt, scn_mg, scn_pert).total, rel=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(0.05, 20.0), st.floats(0.05, 20.0), st.floats(0.3, 2.0),
+        st.floats(0.05, 0.8), st.floats(0.01, 0.99), st.floats(0.3, 2.0),
+    )
+    def test_depends_on_structurals_only_through_q(self, kappa, xi, alpha, sigma, u, alpha2):
+        # a second (kappa, xi, alpha) with the same sigma and q = (kappa + xi0^2) / xi0
+        xi0 = xi * sigma ** (2.0 * (alpha - 1.0))
+        q = (kappa + xi0**2) / xi0
+        kappa2, xi2 = u * (1.0 - u) * q**2, u * q * sigma ** (2.0 * (1.0 - alpha2))
+        assume(0.05 <= kappa2 <= 20.0 and 0.05 <= xi2 <= 20.0)
+        spot, strike = 100.0, np.linspace(70.0, 130.0, 13)[:, None]
+        tau = np.array([7, 30, 90, 180, 365]) / 365.0
+        for r, v in ((0.0, 0.01), (0.03, 0.3)):
+            a = pert_price_grid(spot, strike, tau, v, r, kappa, xi, alpha, sigma)
+            b = pert_price_grid(spot, strike, tau, v, r, kappa2, xi2, alpha2, sigma)
+            assert np.all(np.abs(a - b) <= 1e-13 * np.maximum(np.abs(a), 1.0))
+
 
 class TestCalibrate:
     def test_sigma_recovery_zero_noise(self):
@@ -156,6 +206,40 @@ class TestCalibrate:
         assert result.iterations > 0
         assert result.residuals.shape == (10,)
         assert math.isfinite(result.ivrmse)
+
+    # (quotes, start, IVRMSE and sigma of the 4-direction fit this one replaced)
+    FOUR_DIRECTION_FITS = {
+        "synthetic": (lambda: synthetic_quotes(THETA), (1.2, 1.2, 0.9, 0.25),
+                      9.363258610435783e-12, 0.2865000097665645),
+        "panel": (lambda: panel_quotes([1, 0]), (2.0, 0.6, 0.8, 0.25),
+                  0.004743168327165208, 0.28669520675930105),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FOUR_DIRECTION_FITS))
+    def test_no_worse_than_four_direction_fit(self, name):
+        make, start, ivrmse_4d, sigma_4d = self.FOUR_DIRECTION_FITS[name]
+        result = calibrate(make(), start)
+        assert result.ivrmse <= ivrmse_4d * (1.0 + 1e-12)
+        assert result.theta_pert[3] == pytest.approx(sigma_4d, abs=1e-6)
+        assert all(type(p) is float for p in result.theta_pert)
+        # the convention: alpha and kappa / xi0^2 stay at their start values
+        (kappa0, xi0, alpha0, sigma0), (kappa, xi, alpha, sigma) = start, result.theta_pert
+        sym0, sym = xi0 * sigma0 ** (2 * (alpha0 - 1)), xi * sigma ** (2 * (alpha - 1))
+        assert alpha == alpha0
+        assert kappa / sym**2 == pytest.approx(kappa0 / sym0**2, rel=1e-12)
+
+    def test_n_evals_counts_objective_calls(self, monkeypatch):
+        calls = []
+
+        def counted(quotes, theta):
+            calls.append(theta)
+            return ivrmse(quotes, theta)
+
+        monkeypatch.setattr(calibration, "ivrmse", counted)
+        for fix in (False, True):
+            calls.clear()
+            result = calibrate(synthetic_quotes(THETA), (1.2, 1.2, 0.9, 0.25), fix)
+            assert result.n_evals == len(calls) > result.iterations
 
     def test_deterministic(self):
         a = calibrate(synthetic_quotes(THETA), (1.2, 1.2, 0.9, 0.25))

@@ -4,6 +4,9 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
+
+from mgpert import cli
 
 CLI = [sys.executable, "-m", "mgpert.cli"]
 
@@ -162,8 +165,64 @@ class TestExperimentCommand:
                         "--steps-per-day", "2", "--threads", threads,
                         "--out-dir", str(d), timeout=600)
             assert p.returncode == 0, p.stderr
-            body = [(d / "table2.csv").read_text().splitlines()[1:],
-                    (d / "table3.csv").read_text().splitlines()[1:],
-                    p.stdout]
+            body = [(d / "table2.csv").read_text(), (d / "table3.csv").read_text(), p.stdout]
             outs.append(body)
         assert outs[0] == outs[1]
+
+
+
+PRICE_FLOAT_FLAGS = [
+    s.flag for s in cli.MODEL_FLAGS + cli.CONTRACT_FLAGS + [cli.SIGMA_FLAG, cli.V0_FLAG]
+    if s.type is float
+]
+
+
+def _resolved(*argv):
+    ns, _, _ = cli._resolve(list(argv), *cli.build_parser())
+    return ns
+
+
+class TestInProcessValidation:
+    @given(st.sampled_from(PRICE_FLOAT_FLAGS), st.sampled_from(["nan", "inf", "-inf"]))
+    def test_price_rejects_non_finite_flags(self, flag, value):
+        # flag=value form, since argparse reads a bare "-inf" as an option
+        assert cli.main(["price", f"{flag}={value}"]) == cli.EXIT_VALIDATION
+
+    @pytest.mark.parametrize("flag", [["--paths", "2000"], ["--sample-paths", "2"],
+                                      ["--obs", "1"]])
+    def test_full_rejects_scale_flags(self, flag, tmp_path):
+        argv = ["experiment", "timeseries", "--full", "--out-dir", str(tmp_path)] + flag
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+
+    def test_full_rejects_scale_keys_from_config(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("obs=3\n")
+        argv = ["experiment", "timeseries", "--full", "--config", str(cfg),
+                "--out-dir", str(tmp_path)]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+
+    def test_desk_scale_flag_removed(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["experiment", "timeseries", "--desk-scale"])
+        assert exc.value.code == 2
+
+    def test_timeseries_uses_strata(self, tmp_path):
+        # 7 strata cannot split 1000 base paths; the flag used to be ignored here
+        argv = ["experiment", "timeseries", "--paths", "2000", "--strata", "7",
+                "--out-dir", str(tmp_path)]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+
+
+class TestConfigHash:
+    @given(st.text(alphabet="abc/_.", min_size=1, max_size=12), st.integers(1, 64))
+    def test_ignores_output_and_threads(self, out_dir, threads):
+        base = cli.config_hash(_resolved("experiment", "timeseries"))
+        moved = _resolved("experiment", "timeseries", "--out-dir", out_dir,
+                          "--threads", str(threads))
+        assert cli.config_hash(moved) == base
+        assert (cli.config_hash(_resolved("oracle-check", "--out", out_dir))
+                == cli.config_hash(_resolved("oracle-check")))
+
+    def test_result_options_change_it(self):
+        base = cli.config_hash(_resolved("experiment", "timeseries"))
+        assert cli.config_hash(_resolved("experiment", "timeseries", "--seed", "1")) != base

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from mgpert.errors import DegenerateParams, InvalidParams, NonpositiveVariance
 from mgpert.params import (
     DEFAULT_V0,
+    HeatCoords,
     MgParams,
     OptionSpec,
     PerturbParams,
@@ -126,6 +127,22 @@ class TestHeatCoords:
             to_heat_coords(opt, scn_pert)
 
     def test_tilt_at_origin_is_one(self, scn_deriv):
-        from mgpert.params import HeatCoords
-
         assert tilt(HeatCoords(x=0.0, y=0.0, tau=0.0), scn_deriv) == 1.0
+
+
+VALID = {
+    MgParams: dict(kappa=1.5, theta=0.08, xi=1.5, rho=-0.5, alpha=1.0, r=0.01),
+    PerturbParams: dict(sigma=0.2, xi0=1.5, v0=1.0),
+    OptionSpec: dict(spot=100.0, strike=100.0, tau_cal=0.1, variance=0.04),
+    HeatCoords: dict(x=0.0, y=-2.0, tau=0.01),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "cls,name", [(cls, name) for cls, kwargs in VALID.items() for name in kwargs]
+)
+def test_non_finite_field_rejected(cls, name, bad):
+    cls(**VALID[cls])
+    with pytest.raises(InvalidParams, match=name):
+        cls(**{**VALID[cls], name: bad})
