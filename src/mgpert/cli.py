@@ -285,6 +285,20 @@ def cmd_oracle_check(ns) -> int:
 
 
 def cmd_experiment(ns) -> int:
+    # every option is checked before the output directory is created
+    if ns.experiment == "static":
+        cfg = McConfig(n_paths=ns.paths, steps_per_day=ns.steps_per_day, seed=ns.seed,
+                       n_strata=ns.strata)
+    else:
+        if ns.dataset not in DATASETS:
+            raise InvalidParams(f"--dataset must be one of {sorted(DATASETS)}, got {ns.dataset}")
+        if ns.full:
+            sample_paths, obs, paths = 100, 52, 50_000
+        else:
+            sample_paths, obs, paths = ns.sample_paths, ns.obs, ns.paths
+        spec = TimeSeriesSpec(n_sample_paths=sample_paths, n_obs=obs,
+                              mc=McConfig(n_paths=paths, steps_per_day=ns.steps_per_day,
+                                          n_strata=ns.strata, seed=ns.seed))
     try:
         os.makedirs(ns.out_dir, exist_ok=True)
         probe = os.path.join(ns.out_dir, ".write_probe")
@@ -296,8 +310,6 @@ def cmd_experiment(ns) -> int:
     comment = f"config {config_hash(ns)}"
 
     if ns.experiment == "static":
-        cfg = McConfig(n_paths=ns.paths, steps_per_day=ns.steps_per_day, seed=ns.seed,
-                       n_strata=ns.strata)
         report = run_static_experiment(mc_cfg=cfg, maturity_days=ns.days)
         write_static_report(report, ns.out_dir, comment)
         print("v_init sigma_hat ivrmse")
@@ -305,13 +317,6 @@ def cmd_experiment(ns) -> int:
             print(f"{row.v_init:.4f} {row.sigma_hat:.4f} {row.ivrmse:.4f}")
         return EXIT_OK
 
-    if ns.full:
-        sample_paths, obs, paths = 100, 52, 50_000
-    else:
-        sample_paths, obs, paths = ns.sample_paths, ns.obs, ns.paths
-    spec = TimeSeriesSpec(n_sample_paths=sample_paths, n_obs=obs,
-                          mc=McConfig(n_paths=paths, steps_per_day=ns.steps_per_day,
-                                      n_strata=ns.strata, seed=ns.seed))
     report = run_timeseries_experiment(ns.dataset, spec=spec, seed=ns.seed,
                                        n_workers=ns.threads)
     write_timeseries_report(report, ns.out_dir, comment)

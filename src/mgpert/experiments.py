@@ -172,18 +172,7 @@ def _path_quote_set(rows, mg: MgParams) -> QuoteSet:
 
 def _run_one_path(args):
     spec, mg, seed, path_id, sigma0 = args
-    one = TimeSeriesSpec(
-        n_sample_paths=1,
-        n_obs=spec.n_obs,
-        obs_step_days=spec.obs_step_days,
-        maturities=spec.maturities,
-        moneyness=spec.moneyness,
-        spot0=spec.spot0,
-        v0_init=spec.v0_init,
-        mc=spec.mc,
-    )
-    # reuse the panel generator with the path-specific seed stream
-    rows = generate_time_series(one, mg, seed=seed)
+    rows = generate_time_series(spec, mg, seed, paths=[path_id])
     quotes = _path_quote_set(rows, mg)
     return calibrate(quotes, (mg.kappa, mg.xi, mg.alpha, sigma0))
 
@@ -205,11 +194,9 @@ def run_timeseries_experiment(
     spec = spec or TimeSeriesSpec()
     sigma0 = math.sqrt(spec.v0_init)
 
-    # one generate_time_series seed stream per path: seed list [seed, path] is
-    # exactly what the panel generator uses internally for path_id=0
-    jobs = []
-    for path_id in range(spec.n_sample_paths):
-        jobs.append((spec, mg, _path_seed(seed, path_id), path_id, sigma0))
+    # each job simulates one path of the panel generate_time_series(spec, mg,
+    # seed) writes, so the fit for path p is the fit to that panel's path p
+    jobs = [(spec, mg, seed, path_id, sigma0) for path_id in range(spec.n_sample_paths)]
 
     if n_workers > 1:
         # calibrate imports the optimizer lazily; loading it before the workers
@@ -250,11 +237,6 @@ def run_timeseries_experiment(
         ivrmse_std=float(errors.std(ddof=1)) if errors.size > 1 else 0.0,
         per_path=per_path,
     )
-
-
-def _path_seed(seed: int, path_id: int) -> int:
-    # stable scalar combining run seed and path id for the per-path stream
-    return (seed * 1_000_003 + path_id) % 2**63
 
 
 def _write_csv(path, header, rows, config_comment=None):

@@ -1,10 +1,22 @@
-"""Monte Carlo oracle for the full two-factor model.
+"""Monte Carlo engines for the full two-factor model.
 
-Euler scheme with full truncation (V replaced by max(V, 0) wherever it is
-consumed), antithetic mirroring, and equiprobable stratification of the
-first-step asset shock.  All draws come from a counter-based Philox
-generator so a fixed (seed, config) pair reproduces bit-identical results
-regardless of how callers parallelize around this module.
+Both engines discretise the variance the same way: Euler with full
+truncation (V replaced by max(V, 0) wherever it is consumed), antithetic
+mirroring, and equiprobable stratification of the first step's leading
+shock.
+
+- simulate_terminal, the conditional engine, simulates the variance only.
+  Given one variance path, log S_T is Gaussian, so a path contributes the
+  Black price at its conditional forward and total variance (the mixing
+  estimator).  price_surface_mc and generate_time_series price with it, so
+  both experiments do.
+- simulate_euler, the Euler reference, simulates (S, V) jointly.
+  price_option_mc and `mgpert mc-price` use it, and the tests check the
+  conditional engine against it.
+
+All draws come from a counter-based Philox generator so a fixed (seed,
+config) pair reproduces bit-identical results regardless of how callers
+parallelize around this module.
 """
 
 from __future__ import annotations
@@ -16,10 +28,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
+from .analytic import bs_price
 from .errors import InvalidParams
-from .params import MgParams, OptionSpec
+from .params import MgParams, OptionSpec, _require_finite
 
 DAYS_PER_YEAR = 365.0
+#: paths per bs_price call when pricing from the conditional engine
+PRICE_CHUNK = 8192
 
 
 def _philox(*words):
@@ -104,6 +119,11 @@ class TimeSeriesSpec:
             raise InvalidParams("moneyness values must be positive")
         if self.n_sample_paths < 1 or self.n_obs < 1:
             raise InvalidParams("n_sample_paths and n_obs must be >= 1")
+        _require_finite(self, "spot0", "v0_init", "obs_step_days")
+        if not (self.spot0 > 0 and self.obs_step_days > 0):
+            raise InvalidParams("spot0 and obs_step_days must be > 0")
+        if not self.v0_init >= 0:
+            raise InvalidParams(f"v0_init must be >= 0, got {self.v0_init}")
 
 
 def step_euler(s, v, dt, z_s, z_v, mg: MgParams, work=None):
@@ -135,6 +155,13 @@ def step_euler(s, v, dt, z_s, z_v, mg: MgParams, work=None):
         np.add(s, b, out=s)
     np.add(s, a, out=s)
 
+    _advance_variance(v, v_plus, dt, z_v, mg, a)
+    return s, v
+
+
+def _advance_variance(v, v_plus, dt, z_v, mg: MgParams, a):
+    """The variance half of step_euler, in place: v becomes V', a is
+    scratch, and v_plus (V+ on entry) is overwritten when alpha != 1."""
     np.subtract(mg.theta, v_plus, out=a)
     np.multiply(mg.kappa, a, out=a)
     np.multiply(a, dt, out=a)
@@ -145,7 +172,15 @@ def step_euler(s, v, dt, z_s, z_v, mg: MgParams, work=None):
     np.multiply(a, math.sqrt(dt), out=a)
     np.multiply(a, z_v, out=a)
     np.add(v, a, out=v)
-    return s, v
+
+
+def _stratified_normals(rng, n_strata, out):
+    """Fill out with standard normals, len(out) // n_strata from each
+    equiprobable stratum of the uniform, stratum by stratum."""
+    rng.random(out=out)
+    out += np.repeat(np.arange(n_strata, dtype=float), out.size // n_strata)
+    out /= n_strata
+    return ndtri(out, out=out)
 
 
 def _first_step_shocks(rng, cfg: McConfig, rho: float):
@@ -156,9 +191,7 @@ def _first_step_shocks(rng, cfg: McConfig, rho: float):
     """
     n = cfg.n_base
     if cfg.stratified:
-        per = n // cfg.n_strata
-        u = (np.repeat(np.arange(cfg.n_strata), per) + rng.random(n)) / cfg.n_strata
-        z_s = ndtri(u)
+        z_s = _stratified_normals(rng, cfg.n_strata, np.empty(n))
         z_v = rho * z_s + math.sqrt(1.0 - rho**2) * rng.standard_normal(n)
     else:
         z_v = rng.standard_normal(n)
@@ -180,6 +213,80 @@ def _step_shocks(rng, n, rho, out=None):
 
 
 def simulate_terminal(
+    spot: float,
+    variance: float,
+    mg: MgParams,
+    cfg: McConfig,
+    maturity_steps,
+    dt: float,
+    rng=None,
+):
+    """Simulate the variance paths; return S's conditional law at each
+    requested step count.
+
+    Given the variance path, log S_t is Gaussian with mean
+    log(spot) + r t - I/2 + rho J and variance (1 - rho^2) I, where
+    I = sum V+ dt and J = sum sqrt(V+ dt) z_v.  Returns (forwards,
+    variances), each of shape (len(maturity_steps), n_paths): the
+    conditional forward F = spot e^(r t) e^(rho J - rho^2 I / 2) and the
+    total variance W = (1 - rho^2) I.  A payoff's conditional mean is then
+    a Black formula in (F, W), exact in S; only V is discretised.
+
+    Each step draws one normal per base path (stratified on the first step)
+    and mirrors it for the antithetic half.  The sums are kept as sum V+
+    and sum sqrt(V+) z_v and scaled by dt and sqrt(dt) at the snapshots.
+    Every buffer is allocated once per call, the sums included: they live
+    in the output rows of the last step.
+    """
+    if rng is None:
+        rng = _philox(cfg.seed)
+    maturity_steps = list(maturity_steps)
+    n_steps = max(maturity_steps)
+    n = cfg.n_base
+    m = n * 2 if cfg.antithetic else n
+    rho = mg.rho
+
+    v = np.full(m, float(variance))
+    v_plus, a, z = np.empty(m), np.empty(m), np.empty(m)
+    forwards = np.empty((len(maturity_steps), m))
+    variances = np.empty((len(maturity_steps), m))
+    # the sums accumulate in the first row that snapshots the last step,
+    # which is written last and in place
+    last = maturity_steps.index(n_steps)
+    sum_root, sum_v = forwards[last], variances[last]
+    sum_root.fill(0.0)
+    sum_v.fill(0.0)
+
+    def snapshot(k):
+        for i in reversed(range(len(maturity_steps))):
+            if maturity_steps[i] == k:
+                f, w = forwards[i], variances[i]
+                np.multiply(sum_root, rho * math.sqrt(dt), out=f)
+                np.multiply(sum_v, 0.5 * rho**2 * dt, out=a)
+                np.subtract(f, a, out=f)
+                np.exp(f, out=f)
+                np.multiply(f, spot * math.exp(mg.r * k * dt), out=f)
+                np.multiply(sum_v, (1.0 - rho**2) * dt, out=w)
+
+    snapshot(0)
+    for k in range(1, n_steps + 1):
+        if k == 1 and cfg.stratified:
+            _stratified_normals(rng, cfg.n_strata, z[:n])
+        else:
+            rng.standard_normal(out=z[:n])
+        if cfg.antithetic:
+            np.negative(z[:n], out=z[n:])
+        np.maximum(v, 0.0, out=v_plus)
+        np.add(sum_v, v_plus, out=sum_v)
+        np.sqrt(v_plus, out=a)
+        np.multiply(a, z, out=a)
+        np.add(sum_root, a, out=sum_root)
+        _advance_variance(v, v_plus, dt, z, mg, a)
+        snapshot(k)
+    return forwards, variances
+
+
+def simulate_euler(
     spot: float,
     variance: float,
     mg: MgParams,
@@ -259,7 +366,7 @@ def price_option_mc(opt: OptionSpec, mg: MgParams, cfg: McConfig) -> McPrice:
         raise InvalidParams("price_option_mc requires tau_cal > 0")
     n_steps = maturity_step_count(opt.tau_cal, cfg.steps_per_day)
     dt = opt.tau_cal / n_steps
-    s_t = simulate_terminal(opt.spot, opt.variance, mg, cfg, [n_steps], dt)[0]
+    s_t = simulate_euler(opt.spot, opt.variance, mg, cfg, [n_steps], dt)[0]
     if opt.is_call:
         payoff = np.maximum(s_t - opt.strike, 0.0)
     else:
@@ -275,26 +382,34 @@ def price_surface_mc(
     mg: MgParams,
     cfg: McConfig,
     kind: str = "call",
+    rng=None,
 ):
     """Price a maturity x strike grid of options from one shared path set.
 
     Returns a dict {(maturity_days, strike): McPrice}.  Sharing paths across
     the surface is what makes desk-scale path counts affordable; estimates
     for different contracts are correlated but individually unbiased.
+
+    The paths come from the conditional engine (simulate_terminal; rng as
+    there).  A path's payoff is its undiscounted Black price at (F, W), a
+    put by parity on that path (call - F + K).  bs_price runs on
+    PRICE_CHUNK paths at a time, so its temporaries stay small whatever
+    the path count.
     """
     maturities_days = list(maturities_days)
     strikes = list(strikes)
     steps = [maturity_step_count(m / DAYS_PER_YEAR, cfg.steps_per_day) for m in maturities_days]
     dt = 1.0 / (DAYS_PER_YEAR * cfg.steps_per_day)
-    snapshots = simulate_terminal(spot, variance, mg, cfg, steps, dt)
+    forwards, variances = simulate_terminal(spot, variance, mg, cfg, steps, dt, rng)
     out = {}
+    payoff = np.empty(forwards.shape[1])
     for i, m_days in enumerate(maturities_days):
         discount = math.exp(-mg.r * m_days / DAYS_PER_YEAR)
+        vol = np.sqrt(variances[i], out=variances[i])
         for k in strikes:
-            if kind == "call":
-                payoff = np.maximum(snapshots[i] - k, 0.0)
-            else:
-                payoff = np.maximum(k - snapshots[i], 0.0)
+            for c in range(0, payoff.size, PRICE_CHUNK):
+                part = slice(c, c + PRICE_CHUNK)
+                payoff[part] = bs_price(forwards[i, part], k, 1.0, 0.0, vol[part], kind)
             out[(m_days, k)] = _estimate(payoff, cfg, discount)
     return out
 
@@ -312,37 +427,35 @@ class PanelRow:
     mc_std_error: float
 
 
-def generate_time_series(spec: TimeSeriesSpec, mg: MgParams, seed: int = 0):
+def generate_time_series(spec: TimeSeriesSpec, mg: MgParams, seed: int = 0, paths=None):
     """Simulate the weekly observation panel of Monte Carlo option prices.
 
     For every sample path: a weekly Euler trajectory of (S, V), and at each
     observation the full maturity x moneyness grid priced by Monte Carlo
     from the current (S, V+) state.  Deterministic given (spec, mg, seed).
+
+    paths lists the sample path ids to simulate (default: all of them).  A
+    path's streams are keyed by (seed, path id) alone, so its rows are the
+    same whichever other paths are simulated with it.
     """
+    paths = range(spec.n_sample_paths) if paths is None else list(paths)
+    if not all(0 <= p < spec.n_sample_paths for p in paths):
+        raise InvalidParams(f"path ids must be in [0, {spec.n_sample_paths}), got {paths}")
     rows = []
     dt_obs = spec.obs_step_days / DAYS_PER_YEAR
-    for path_id in range(spec.n_sample_paths):
+    for path_id in paths:
         path_rng = _philox(seed, path_id)
         s, v = spec.spot0, spec.v0_init
         for obs in range(spec.n_obs):
             v_plus = max(v, 0.0)
             strikes = [m * s for m in spec.moneyness]
-            cfg = spec.mc
-            steps = [
-                maturity_step_count(m / DAYS_PER_YEAR, cfg.steps_per_day)
-                for m in spec.maturities
-            ]
             # pricing stream distinct from the state stream: different first
             # key word, second word packs (path, observation)
             rng = _philox(seed ^ 0x9E3779B97F4A7C15, (path_id << 32) | obs)
-            snapshots = simulate_terminal(
-                s, v_plus, mg, cfg, steps, 1.0 / (DAYS_PER_YEAR * cfg.steps_per_day), rng
-            )
-            for i, m_days in enumerate(spec.maturities):
-                discount = math.exp(-mg.r * m_days / DAYS_PER_YEAR)
+            prices = price_surface_mc(s, v_plus, spec.maturities, strikes, mg, spec.mc, rng=rng)
+            for m_days in spec.maturities:
                 for money, strike in zip(spec.moneyness, strikes):
-                    payoff = np.maximum(snapshots[i] - strike, 0.0)
-                    mp = _estimate(payoff, cfg, discount)
+                    mp = prices[(m_days, strike)]
                     rows.append(
                         PanelRow(
                             path_id=path_id,

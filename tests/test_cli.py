@@ -140,9 +140,11 @@ class TestConfigFile:
 
 
 class TestExperimentCommand:
-    def test_invalid_dataset(self):
-        p = run_cli("experiment", "timeseries", "--dataset", "9")
+    def test_invalid_dataset(self, tmp_path):
+        out = tmp_path / "rep"
+        p = run_cli("experiment", "timeseries", "--dataset", "9", "--out-dir", str(out))
         assert p.returncode == 2
+        assert not out.exists()
 
     def test_static_writes_tables(self, tmp_path):
         out = tmp_path / "rep"
@@ -200,6 +202,15 @@ class TestInProcessValidation:
         argv = ["experiment", "timeseries", "--full", "--config", str(cfg),
                 "--out-dir", str(tmp_path)]
         assert cli.main(argv) == cli.EXIT_VALIDATION
+
+    @pytest.mark.parametrize("argv", [["timeseries", "--dataset", "9"],
+                                      ["timeseries", "--paths", "3"],
+                                      ["static", "--paths", "3"]])
+    def test_invalid_experiment_creates_no_out_dir(self, argv, tmp_path):
+        # 3 paths cannot be split into antithetic pairs
+        out = tmp_path / "rep"
+        assert cli.main(["experiment"] + argv + ["--out-dir", str(out)]) == cli.EXIT_VALIDATION
+        assert not out.exists()
 
     def test_desk_scale_flag_removed(self):
         with pytest.raises(SystemExit) as exc:

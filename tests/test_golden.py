@@ -1,10 +1,11 @@
 """Golden SHA-256 hashes of Monte Carlo outputs at fixed seeds.
 
 The simulation promises bit-identical output for a fixed (seed, config), so
-a change to the Euler engine must leave these bytes alone.  The hashes were
-recorded on the allocating engine, before the in-place rewrite; they hold
-for this platform's numpy and libm, which is what the determinism promise
-covers.
+a change to an engine must leave these bytes alone.  The Euler hashes were
+recorded on the allocating engine, before the in-place rewrite; the
+conditional engine's, the panel's and table1's when the experiments moved
+to the conditional engine.  They hold for this platform's numpy and libm,
+which is what the determinism promise covers.
 """
 
 import hashlib
@@ -19,6 +20,7 @@ from mgpert.mc import (
     McConfig,
     TimeSeriesSpec,
     generate_time_series,
+    simulate_euler,
     simulate_terminal,
     step_euler,
     write_panel_csv,
@@ -54,11 +56,23 @@ SIMULATE_CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(SIMULATE_CASES))
-def test_simulate_terminal_golden(name):
+def test_simulate_euler_golden(name):
     mg, cfg, digest = SIMULATE_CASES[name]
-    snaps = simulate_terminal(100.0, 0.09, mg, cfg, [0, 30, 75, 120], DT)
+    snaps = simulate_euler(100.0, 0.09, mg, cfg, [0, 30, 75, 120], DT)
     assert np.isfinite(snaps).all()
     assert _sha(snaps.tobytes()) == digest
+
+
+def test_simulate_terminal_golden():
+    # the static shape with a rate, so every factor of the forward is live
+    mg = MgParams(kappa=1.5, theta=0.08, xi=1.5, rho=-0.5, alpha=1.0, r=0.02)
+    cfg = McConfig(n_paths=2000, steps_per_day=10, n_strata=50, seed=7)
+    forwards, variances = simulate_terminal(100.0, 0.09, mg, cfg, [0, 30, 75, 120], DT)
+    assert np.isfinite(forwards).all() and (variances >= 0).all()
+    assert (forwards[0] == 100.0).all() and (variances[0] == 0.0).all()
+    assert _sha(forwards.tobytes() + variances.tobytes()) == (
+        "f863a88d80aa460146d50ced187ff12016afdef67e3f3d35ef410c2084e4616f"
+    )
 
 
 def test_panel_csv_golden(tmp_path):
@@ -74,7 +88,7 @@ def test_panel_csv_golden(tmp_path):
     path = tmp_path / "panel.csv"
     write_panel_csv(rows, path)
     assert _sha(path.read_bytes()) == (
-        "2fe2834a8ac201bbd3192a13cab991826f78ddd4b49e66b59e9b16e66ec4fe00"
+        "c38abbbe3e1f2f2aa926509308e87f9e28c46f9cdc162d48142166b3011675bc"
     )
 
 
@@ -85,7 +99,7 @@ def test_static_table1_golden(tmp_path):
     )
     write_static_report(report, tmp_path)
     assert _sha((tmp_path / "table1.csv").read_bytes()) == (
-        "29fb072506d52c845de9a16905dcd6eefbf4295006adc94a8c3766366a5d9838"
+        "1779fa996ebb210eda2a76364d910de082f1105b80aba298fcaafca184ca9973"
     )
 
 
