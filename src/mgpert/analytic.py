@@ -87,31 +87,37 @@ def price_symmetric(opt: OptionSpec, pert: PerturbParams, r: float) -> float:
     return bs_price(opt.spot, opt.strike, opt.tau_cal, r, pert.sigma, opt.kind)
 
 
+def correction_kernel(x, tau, variance, sigma, r2, r, log_strike=0.0):
+    """Leading-order correction C1 over arrays, as a multiple of the strike.
+
+    x = log S/K, tau in years, variance V, R2 from params.correction_r2.
+    Pass log_strike = log K for C1 itself.  Evaluated through its
+    log-prefactor to avoid overflow of (S/K)^(1/2 - r/sigma^2) at extreme
+    moneyness; 0 at tau = 0 by continuous extension.
+    """
+    # [()] makes 0-d input numpy scalars, whose arithmetic is several times cheaper
+    x, tau, variance = (np.asarray(a, dtype=float)[()] for a in (x, tau, variance))
+    sigma2 = sigma**2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_mag = (
+            log_strike
+            + (0.5 - r / sigma2) * x
+            - (4.0 * x**2 + (2.0 * r + sigma2) ** 2 * tau**2) / (8.0 * sigma2 * tau)
+            - np.log(2.0 * math.sqrt(2.0 * math.pi) * np.abs(r2) * np.sqrt(sigma2 * tau))
+        )
+        bracket = -0.5 * sigma2**2 * r2 * tau + variance * np.expm1(0.5 * sigma2 * r2 * tau)
+        out = np.where(tau > 0, -np.copysign(1.0, r2) * np.exp(log_mag) * bracket, 0.0)
+    return out if out.ndim else float(out)
+
+
 def perturb_correction(
     opt: OptionSpec, pert: PerturbParams, deriv: DerivedParams, r: float
 ) -> float:
-    """Leading-order correction C1 = P1 (same value for calls and puts).
-
-    Evaluated through its log-prefactor to avoid overflow of
-    (S/K)^(1/2 - r/sigma^2) at extreme moneyness; 0 at tau_cal = 0 by
-    continuous extension.
-    """
-    tau_c = opt.tau_cal
-    if tau_c == 0.0:
-        return 0.0
-    sigma2 = pert.sigma**2
-    r2 = deriv.r2
-    x = math.log(opt.spot / opt.strike)
-    log_mag = (
-        math.log(opt.strike)
-        + (0.5 - r / sigma2) * x
-        - (4.0 * x**2 + (2.0 * r + sigma2) ** 2 * tau_c**2) / (8.0 * sigma2 * tau_c)
-        - math.log(2.0 * math.sqrt(2.0 * math.pi) * abs(r2) * math.sqrt(sigma2 * tau_c))
+    """Leading-order correction C1 = P1 (same value for calls and puts)."""
+    return correction_kernel(
+        math.log(opt.spot / opt.strike), opt.tau_cal, opt.variance, pert.sigma, deriv.r2, r,
+        math.log(opt.strike),
     )
-    bracket = -0.5 * sigma2**2 * r2 * tau_c + opt.variance * math.expm1(
-        0.5 * sigma2 * r2 * tau_c
-    )
-    return -math.copysign(1.0, r2) * math.exp(log_mag) * bracket
 
 
 def correction_root_variance(pert: PerturbParams, deriv: DerivedParams, tau_cal: float) -> float:
@@ -130,105 +136,86 @@ def price_mg(opt: OptionSpec, mg: MgParams, pert: PerturbParams) -> PriceBreakdo
     return PriceBreakdown(c0=c0, c1=c1, total=c0 + c1, d1=d1, d2=d2)
 
 
+def _price_bracket(spot, strike, tau, r, kind):
+    """No-arbitrage range [lo, hi) of a European option price."""
+    kdisc = strike * math.exp(-r * tau)
+    if kind == "call":
+        return np.maximum(spot - kdisc, 0.0), spot
+    return np.maximum(kdisc - spot, 0.0), kdisc
+
+
 def implied_vol(price: float, opt: OptionSpec, r: float) -> float:
     """Invert Black-Scholes for the volatility reproducing `price`.
 
-    Newton on vega with a bisection safeguard on [IV_MIN, IV_MAX]; price
-    reproduced to IV_PRICE_TOL currency units.  Raises OutOfBounds when the
-    price violates the no-arbitrage bracket and NoConvergence past the
-    iteration cap.
+    implied_vol_array on one contract.  Raises OutOfBounds at tau_cal = 0 or
+    when the price is outside the no-arbitrage bracket, and NoConvergence
+    where implied_vol_array gives NaN: the price needs a volatility above
+    IV_MAX, or the inversion reached IV_MAX_ITER iterations.
     """
     if opt.tau_cal <= 0:
         raise OutOfBounds("tau_cal must be > 0 for implied volatility")
-    disc = math.exp(-r * opt.tau_cal)
-    if opt.is_call:
-        lo_bound = max(opt.spot - opt.strike * disc, 0.0)
-        hi_bound = opt.spot
-    else:
-        lo_bound = max(opt.strike * disc - opt.spot, 0.0)
-        hi_bound = opt.strike * disc
-    if price < lo_bound or price >= hi_bound:
+    lo_bound, hi_bound = _price_bracket(opt.spot, opt.strike, opt.tau_cal, r, opt.kind)
+    if not lo_bound <= price < hi_bound:
         raise OutOfBounds(
             f"price {price} outside no-arbitrage range [{lo_bound}, {hi_bound})"
         )
-
-    def f(s):
-        return bs_price(opt.spot, opt.strike, opt.tau_cal, r, s, opt.kind) - price
-
-    lo, hi = IV_MIN, IV_MAX
-    f_lo = f(lo)
-    if f_lo >= 0.0:
-        # price at or below the lowest representable vol; clamp to the domain edge
-        return IV_MIN
-    if f(hi) <= 0.0:
-        raise NoConvergence(f"price {price} not attainable below sigma = {IV_MAX}")
-
-    sigma = min(max(0.5 * (lo + hi), 0.2), 1.0)
-    for _ in range(IV_MAX_ITER):
-        diff = f(sigma)
-        if abs(diff) <= IV_PRICE_TOL:
-            return sigma
-        if diff > 0:
-            hi = sigma
-        else:
-            lo = sigma
-        vega = bs_vega(opt.spot, opt.strike, opt.tau_cal, r, sigma)
-        if vega > 1e-12:
-            step = sigma - diff / float(vega)
-        else:
-            step = 0.5 * (lo + hi)
-        sigma = step if lo < step < hi else 0.5 * (lo + hi)
-    raise NoConvergence(f"implied vol did not converge after {IV_MAX_ITER} iterations")
+    sigma = float(implied_vol_array(price, opt.spot, opt.strike, opt.tau_cal, r, opt.kind))
+    if math.isnan(sigma):
+        raise NoConvergence(
+            f"no volatility in [{IV_MIN}, {IV_MAX}] reproduces price {price} "
+            f"within {IV_MAX_ITER} iterations"
+        )
+    return sigma
 
 
 def implied_vol_array(prices, spot, strikes, tau, r, kind="call"):
     """Vectorized implied-vol inversion; NaN where the price is uninvertible.
 
-    Same bracket and tolerance as implied_vol; bisection with a Newton
-    acceleration step, which is robust for noisy Monte Carlo prices.  An
-    entry that is still outside the tolerance after IV_MAX_ITER iterations
-    is NaN too, where implied_vol raises NoConvergence.
+    Bisection on [IV_MIN, IV_MAX] with a Newton acceleration step, which is
+    robust for noisy Monte Carlo prices; the price is reproduced to
+    IV_PRICE_TOL currency units.  A price at or below the IV_MIN price gives
+    IV_MIN.  NaN marks a price outside the no-arbitrage bracket, one that
+    needs a volatility above IV_MAX, and one still outside the tolerance
+    after IV_MAX_ITER iterations.
     """
     prices = np.asarray(prices, dtype=float)
-    spot_b, strikes_b, prices = np.broadcast_arrays(
+    spot, strikes, prices = np.broadcast_arrays(
         np.asarray(spot, dtype=float), np.asarray(strikes, dtype=float), prices
     )
-    disc = math.exp(-r * tau)
-    if kind == "call":
-        lo_bound = np.maximum(spot_b - strikes_b * disc, 0.0)
-        hi_bound = spot_b
-    else:
-        lo_bound = np.maximum(strikes_b * disc - spot_b, 0.0)
-        hi_bound = strikes_b * disc
+    lo_bound, hi_bound = _price_bracket(spot, strikes, tau, r, kind)
     ok = (prices >= lo_bound) & (prices < hi_bound)
+    ends = np.reshape([IV_MIN, IV_MAX], (2,) + (1,) * prices.ndim)
+    f_lo, f_hi = bs_price(spot, strikes, tau, r, ends, kind) - prices
+    clamp_lo = ok & (f_lo >= 0)
+    active = ok & ~clamp_lo & (f_hi > 0)
 
+    # the loop invariants of bs_price and bs_vega, in their expressions' order
+    sqrt_tau = np.sqrt(tau)
+    log_m = np.log(spot / strikes)
+    kdisc = strikes * np.exp(-r * tau)
+    spot_root = spot * sqrt_tau
     lo = np.full(prices.shape, IV_MIN)
     hi = np.full(prices.shape, IV_MAX)
-    f_lo = bs_price(spot_b, strikes_b, tau, r, lo, kind) - prices
-    f_hi = bs_price(spot_b, strikes_b, tau, r, hi, kind) - prices
-    clamp_lo = ok & (f_lo >= 0)
-    bad_hi = ok & (f_hi <= 0)
-    active = ok & ~clamp_lo & ~bad_hi
-
     sigma = np.full(prices.shape, 0.3)
-    for _ in range(IV_MAX_ITER):
-        diff = bs_price(spot_b, strikes_b, tau, r, sigma, kind) - prices
-        done = np.abs(diff) <= IV_PRICE_TOL
-        if np.all(done | ~active):
-            break
-        hi = np.where(active & (diff > 0), sigma, hi)
-        lo = np.where(active & (diff <= 0), sigma, lo)
-        vega = bs_vega(spot_b, strikes_b, tau, r, sigma)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    # at tau = 0 nothing is active, and only the first price is computed
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(IV_MAX_ITER):
+            stt = sigma * sqrt_tau
+            d1 = (log_m + (r + 0.5 * sigma**2) * tau) / stt
+            call = spot * ndtr(d1) - kdisc * ndtr(d1 - stt)
+            diff = (call if kind == "call" else call - spot + kdisc) - prices
+            done = np.abs(diff) <= IV_PRICE_TOL
+            pending = active & ~done
+            if not np.count_nonzero(pending):
+                break
+            hi = np.where(active & (diff > 0), sigma, hi)
+            lo = np.where(active & (diff <= 0), sigma, lo)
+            vega = spot_root * np.exp(-0.5 * d1**2) / math.sqrt(2.0 * math.pi)
             newton = sigma - diff / vega
-        mid = 0.5 * (lo + hi)
-        step = np.where((vega > 1e-12) & (newton > lo) & (newton < hi), newton, mid)
-        sigma = np.where(active & ~done, step, sigma)
-    else:
-        # iteration cap: entries still outside the tolerance have no answer
-        ok &= done | ~active
-
-    out = np.where(ok, sigma, np.nan)
-    out = np.where(clamp_lo, IV_MIN, out)
-    out = np.where(bad_hi, np.nan, out)
-    return out
+            mid = 0.5 * (lo + hi)
+            step = np.where((vega > 1e-12) & (newton > lo) & (newton < hi), newton, mid)
+            sigma = np.where(pending, step, sigma)
+        else:
+            # iteration cap: entries still outside the tolerance have no answer
+            active = active & done
+    return np.where(clamp_lo, IV_MIN, np.where(active, sigma, np.nan))

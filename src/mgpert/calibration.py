@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import bs_price, implied_vol_array
-from .errors import EmptyQuoteSet, InvalidParams
-from .params import OptionSpec
+from .analytic import bs_price, correction_kernel, implied_vol_array
+from .errors import DegenerateParams, EmptyQuoteSet, InvalidParams
+from .params import OptionSpec, correction_r2
 
 #: Residual charged to a quote whose model price cannot be inverted to an
 #: implied volatility (50 vol points keeps the objective finite while
@@ -109,30 +109,15 @@ class CalibResult:
 
 
 def pert_price_grid(spot, strike, tau, variance, r, kappa, xi, alpha, sigma):
-    """Vectorized perturbative price C0 + C1 over quote arrays."""
+    """Vectorized perturbative call price C0 + C1 over quote arrays.
+
+    Raises DegenerateParams where params.correction_r2 does.
+    """
     spot = np.asarray(spot, dtype=float)
     strike = np.asarray(strike, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    variance = np.asarray(variance, dtype=float)
-    sigma2 = sigma**2
-    xi0 = xi * sigma ** (2.0 * (alpha - 1.0))
-    gamma = -kappa - xi0**2
-    r2 = 1.0 + math.sqrt(2.0) * gamma / (sigma * xi0)
-    c0 = bs_price(spot, strike, tau, r, sigma, "call")
-    if abs(r2) < 1e-12:
-        return c0  # correction blows up; treat as symmetric-only
-    x = np.log(spot / strike)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_mag = (
-            np.log(strike)
-            + (0.5 - r / sigma2) * x
-            - (4.0 * x**2 + (2.0 * r + sigma2) ** 2 * tau**2) / (8.0 * sigma2 * tau)
-            - np.log(2.0 * math.sqrt(2.0 * math.pi) * abs(r2) * np.sqrt(sigma2 * tau))
-        )
-    bracket = -0.5 * sigma2**2 * r2 * tau + variance * np.expm1(0.5 * sigma2 * r2 * tau)
-    c1 = -math.copysign(1.0, r2) * np.exp(log_mag) * bracket
-    c1 = np.where(tau > 0, c1, 0.0)
-    return c0 + c1
+    r2 = correction_r2(kappa, xi * sigma ** (2.0 * (alpha - 1.0)), sigma)
+    c1 = correction_kernel(np.log(spot / strike), tau, variance, sigma, r2, r, np.log(strike))
+    return bs_price(spot, strike, tau, r, sigma, "call") + c1
 
 
 def _model_residuals(quotes: QuoteSet, theta) -> np.ndarray:
@@ -210,21 +195,21 @@ def calibrate(quotes: QuoteSet, initial, fix_structurals: bool = False) -> Calib
 
         z0 = np.array([math.log(sigma0), math.log((kappa0 + sym0**2) / sym0)])
 
-    n_evals = 0
+    values = []  # every objective value, in call order; Nelder-Mead starts at z0
 
     def objective(z):
-        nonlocal n_evals
-        n_evals += 1
         try:
-            return ivrmse(quotes, unpack(z))
-        except (FloatingPointError, OverflowError, InvalidParams):  # e.g. exp underflow to 0
-            return 10.0 * PENALTY_RESIDUAL
+            value = ivrmse(quotes, unpack(z))
+        except (FloatingPointError, OverflowError, InvalidParams, DegenerateParams):
+            value = 10.0 * PENALTY_RESIDUAL  # e.g. exp underflow to 0, or R2 = 0
+        values.append(value)
+        return value
 
     best, n_iter = _nelder_mead(objective, z0)
     theta = unpack(best.x)
     resid = _model_residuals(quotes, theta)
     value = float(np.sqrt(np.mean(resid**2)))
-    converged = bool(best.success) and value <= objective(z0) + 1e-15
+    converged = bool(best.success) and value <= values[0] + 1e-15
     return CalibResult(
         theta_pert=theta,
         ivrmse=value,
@@ -232,5 +217,5 @@ def calibrate(quotes: QuoteSet, initial, fix_structurals: bool = False) -> Calib
         iterations=n_iter,
         converged=converged,
         residuals=resid,
-        n_evals=n_evals,
+        n_evals=len(values),
     )

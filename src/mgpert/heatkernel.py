@@ -7,6 +7,15 @@ leading-order correction psi1.  The quadrature is deliberately independent
 of the closed-form pricer: x-derivatives of psi0 are taken by central
 finite differences, only the y-derivatives use the exact exponential
 factorization d/dy psi0 = -b psi0.
+
+That factorization is why acceptance 2 reports ratios of exactly 0 for the
+c2-c4 terms of the breaking operator: with f_y = -b f, f_yy = b^2 f and
+f_xy = -b f_x, each of their brackets vanishes algebraically, for every
+alpha.  c2's (f_y + b f) and c4's (a b f + b f_x) + (a f_y + f_xy) cancel
+exactly in floating point as written.  c3's (b^2 - b) f + (2b - 1) f_y + f_yy
+cancels up to rounding, and at alpha = 1 its coefficient
+xi^2 (V/v0)^(2 alpha - 2) - xi0^2 is itself 0.  So the full-operator psi1
+equals the c1-only psi1, hence the closed form, at every alpha.
 """
 
 from __future__ import annotations
@@ -17,8 +26,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import ndtr
 
+from .analytic import correction_kernel
 from .errors import InvalidParams, QuadratureNotConverged
-from .params import DerivedParams, HeatCoords, MgParams, PerturbParams
+from .params import DerivedParams, HeatCoords, MgParams, PerturbParams, tilt
 
 
 @dataclass(frozen=True)
@@ -256,23 +266,17 @@ def psi1_quadrature(
 def psi1_closed_form(
     coords: HeatCoords, pert: PerturbParams, deriv: DerivedParams
 ) -> float:
-    """Closed-form leading-order correction in heat coordinates."""
-    x, y, tau = coords.x, coords.y, coords.tau
-    if tau <= 0:
-        return 0.0
-    sigma, xi0, v0 = pert.sigma, pert.xi0, pert.v0
-    g = deriv.gamma
-    sigma2 = sigma**2
-    denom = math.sqrt(2.0) * g + sigma * xi0  # = sigma*xi0*R2
-    num = sigma2 * tau * denom - sigma * xi0 * v0 * math.exp(y) * math.expm1(
-        math.sqrt(2.0) * g * tau / (sigma * xi0) + tau
+    """Closed-form leading-order correction in heat coordinates: C1 / (K phi).
+
+    analytic.correction_kernel at tau_cal = 2 tau / sigma^2, V = v0 e^y and
+    r = r1 sigma^2 / 2, divided by the tilt phi.
+    """
+    sigma2 = pert.sigma**2
+    c1_per_strike = correction_kernel(
+        coords.x, 2.0 * coords.tau / sigma2, pert.v0 * math.exp(coords.y), pert.sigma,
+        deriv.r2, 0.5 * deriv.r1 * sigma2,
     )
-    expo = math.exp(
-        g**2 * tau / (2.0 * sigma2 * xi0**2)
-        - x**2 / (4.0 * tau)
-        + g * y / (math.sqrt(2.0) * sigma * xi0)
-    )
-    return num * expo / (4.0 * math.sqrt(math.pi * tau) * denom)
+    return c1_per_strike / tilt(coords, deriv)
 
 
 def reconstruct_psi0(

@@ -318,7 +318,9 @@ def simulate_euler(
     z_s, z_v = np.empty(m), np.empty(m)
     drawn = (z_s[:n], z_v[:n], np.empty(n))  # the independent half, and scratch
     snapshots = np.empty((len(maturity_steps), m))
-    snap_at = {step: i for i, step in enumerate(maturity_steps)}
+    snap_at = {}  # step count -> every row that asks for it
+    for i, step in enumerate(maturity_steps):
+        snap_at.setdefault(step, []).append(i)
     if 0 in snap_at:
         snapshots[snap_at[0]] = s
 

@@ -117,22 +117,31 @@ class DerivedParams:
     c: float
 
 
-def derive_params(mg: MgParams, pert: PerturbParams) -> DerivedParams:
-    """Compute the derived constants of the exponential-tilt transformation.
+def correction_r2(kappa: float, xi0: float, sigma: float) -> float:
+    """R2 = 1 + sqrt(2) gamma / (sigma xi0), with gamma = -kappa - xi0^2.
 
-    Raises DegenerateParams when |1 + sqrt(2) gamma/(sigma xi0)| falls below
-    EPS_DEGENERATE, because the leading-order correction divides by it.
+    Raises DegenerateParams when |R2| falls below EPS_DEGENERATE, because the
+    leading-order correction divides by it.
     """
-    sigma2 = pert.sigma ** 2
-    gamma = mg.mu - pert.xi0 ** 2
-    r2 = 1.0 + math.sqrt(2.0) * gamma / (pert.sigma * pert.xi0)
+    gamma = -kappa - xi0**2
+    r2 = 1.0 + math.sqrt(2.0) * gamma / (sigma * xi0)
     if abs(r2) < EPS_DEGENERATE:
         raise DegenerateParams(
             f"|1 + sqrt(2) gamma/(sigma xi0)| = {abs(r2):.3e} < {EPS_DEGENERATE}"
         )
+    return r2
+
+
+def derive_params(mg: MgParams, pert: PerturbParams) -> DerivedParams:
+    """Compute the derived constants of the exponential-tilt transformation.
+
+    Raises DegenerateParams where correction_r2 does.
+    """
+    sigma2 = pert.sigma ** 2
+    r2 = correction_r2(mg.kappa, pert.xi0, pert.sigma)
     r1 = 2.0 * mg.r / sigma2
     return DerivedParams(
-        gamma=gamma,
+        gamma=mg.mu - pert.xi0 ** 2,
         omega=mg.r - 0.5 * sigma2,
         eta=2.0 * pert.xi0 ** 2 / sigma2,
         r1=r1,

@@ -16,7 +16,7 @@ from mgpert.analytic import (
     price_mg,
     price_symmetric,
 )
-from mgpert.errors import OutOfBounds
+from mgpert.errors import NoConvergence, OutOfBounds
 from mgpert.params import MgParams, OptionSpec, PerturbParams, derive_params
 
 
@@ -213,6 +213,32 @@ class TestImpliedVol:
         capped = implied_vol_array(prices, 100.0, np.append(strikes, 100.0), 0.25, 0.0)
         assert capped[0] == 0.3
         assert np.isnan(capped[1:]).all()
+
+    @given(
+        st.floats(min_value=70, max_value=140),
+        st.floats(min_value=1 / 365, max_value=1.5),
+        st.floats(min_value=0.0, max_value=0.05),
+        st.floats(min_value=-5.0, max_value=105.0),
+        st.sampled_from(["call", "put"]),
+    )
+    @settings(max_examples=200)
+    def test_scalar_is_one_element_array(self, k, tau, r, price, kind):
+        opt = OptionSpec(spot=100.0, strike=k, tau_cal=tau, kind=kind)
+        got = implied_vol_array(np.array([price]), 100.0, np.array([k]), tau, r, kind)
+        if math.isnan(got[0]):
+            with pytest.raises((OutOfBounds, NoConvergence)):
+                implied_vol(price, opt, r)
+        else:
+            assert np.float64(implied_vol(price, opt, r)).tobytes() == got.tobytes()
+
+    def test_scalar_errors(self):
+        opt = OptionSpec(spot=100.0, strike=100.0, tau_cal=0.25)
+        intrinsic = OptionSpec(spot=100.0, strike=50.0, tau_cal=0.25)
+        assert implied_vol(50.0, intrinsic, 0.0) == analytic.IV_MIN  # on the floor
+        with pytest.raises(OutOfBounds):
+            implied_vol(49.0, intrinsic, 0.0)  # below the floor
+        with pytest.raises(NoConvergence):
+            implied_vol(99.99, opt, 0.0)  # needs sigma > IV_MAX
 
     def test_put_inversion(self):
         opt = OptionSpec(spot=100.0, strike=110.0, tau_cal=0.5, kind="put")

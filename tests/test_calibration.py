@@ -15,12 +15,14 @@ from mgpert.calibration import (
     ivrmse,
     pert_price_grid,
 )
-from mgpert.errors import EmptyQuoteSet, InvalidParams
+from mgpert.errors import DegenerateParams, EmptyQuoteSet, InvalidParams
 from mgpert.experiments import DATASETS
 from mgpert.mc import DAYS_PER_YEAR
-from mgpert.params import OptionSpec, PerturbParams
+from mgpert.params import EPS_DEGENERATE, OptionSpec, PerturbParams
 
 THETA = (1.5, 1.5, 1.0, 0.2865)  # (kappa, xi, alpha, sigma)
+# kappa chosen so R2 = 1 + sqrt(2)(-kappa - xi^2)/(sigma xi) vanishes
+DEGENERATE = (0.2865 * 0.1 / math.sqrt(2.0) - 0.1**2, 0.1, 1.0, 0.2865)
 TAU = 30 / 365
 
 
@@ -160,6 +162,12 @@ class TestPertPriceGrid:
             opt = OptionSpec(spot=100.0, strike=float(k), tau_cal=TAU, variance=0.09)
             assert got == pytest.approx(price_mg(opt, scn_mg, scn_pert).total, rel=1e-12)
 
+    def test_degenerate_raises(self):
+        kappa, xi, alpha, sigma = DEGENERATE
+        assert abs(1.0 - math.sqrt(2.0) * (kappa + xi**2) / (sigma * xi)) < EPS_DEGENERATE
+        with pytest.raises(DegenerateParams):
+            pert_price_grid(100.0, np.array([90.0, 100.0]), TAU, 0.09, 0.0, *DEGENERATE)
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.floats(0.05, 20.0), st.floats(0.05, 20.0), st.floats(0.3, 2.0),
@@ -227,6 +235,14 @@ class TestCalibrate:
         sym0, sym = xi0 * sigma0 ** (2 * (alpha0 - 1)), xi * sigma ** (2 * (alpha - 1))
         assert alpha == alpha0
         assert kappa / sym**2 == pytest.approx(kappa0 / sym0**2, rel=1e-12)
+
+    @pytest.mark.parametrize("fix_structurals", [False, True])
+    def test_degenerate_start_is_a_penalty_point(self, fix_structurals):
+        qs = synthetic_quotes(THETA)
+        with pytest.raises(DegenerateParams):
+            ivrmse(qs, DEGENERATE)
+        result = calibrate(qs, DEGENERATE, fix_structurals)
+        assert result.ivrmse < 10.0 * PENALTY_RESIDUAL  # the search left the start
 
     def test_n_evals_counts_objective_calls(self, monkeypatch):
         calls = []

@@ -5,7 +5,9 @@ a change to an engine must leave these bytes alone.  The Euler hashes were
 recorded on the allocating engine, before the in-place rewrite; the
 conditional engine's, the panel's and table1's when the experiments moved
 to the conditional engine.  They hold for this platform's numpy and libm,
-which is what the determinism promise covers.
+which is what the determinism promise covers.  The pert_price_grid and
+implied_vol_array hashes were recorded before the three copies of the
+correction and the two implied-vol loops were merged into one each.
 """
 
 import hashlib
@@ -14,6 +16,8 @@ import math
 import numpy as np
 import pytest
 
+from mgpert.analytic import IV_MIN, bs_price, implied_vol_array
+from mgpert.calibration import pert_price_grid
 from mgpert.experiments import STATIC_MG, run_static_experiment, write_static_report
 from mgpert.mc import (
     DAYS_PER_YEAR,
@@ -125,3 +129,55 @@ def test_step_euler_copy_matches_in_place(alpha, r):
     s_in, v_in = step_euler(s, v, DT, z_s, z_v, mg, work)
     assert s_in is s and v_in is v
     assert s.tobytes() == s_new.tobytes() and v.tobytes() == v_new.tobytes()
+
+
+def _quote_grid():
+    """The calibrate-fit benchmark's 720-quote layout, unfiltered: 12 variances
+    x 6 maturities x 10 moneyness, calls and puts alternating."""
+    v, days, m = np.meshgrid(np.geomspace(0.01, 0.47, 12), [7, 30, 60, 90, 120, 180],
+                             np.round(np.linspace(0.9, 1.1, 10), 6), indexing="ij")
+    kinds = np.where(np.arange(v.size) % 2 == 0, "call", "put")
+    return 100.0 * m.ravel(), days.ravel() / DAYS_PER_YEAR, v.ravel(), kinds
+
+
+def test_pert_price_grid_golden():
+    strikes, taus, variances, _ = _quote_grid()
+    out = [
+        pert_price_grid(100.0, strikes, taus, variances, r, *theta)
+        for r in (0.0, 0.01)
+        for theta in ((1.1768, 0.3, 1.0, 0.2869), (2.0, 0.6, 0.8, 0.25), (1.5, 1.5, 1.0, 0.2865))
+    ]
+    assert _sha(np.concatenate(out).tobytes()) == (
+        "a4bb7ee97841f1d5195ea50d42eb8e15f4b9e5f8c401d75d802f9cc8c264251d"
+    )
+
+
+def test_implied_vol_array_golden():
+    # noisy prices: some fall below their no-arbitrage floor, every 97th sits
+    # on the upper bound and every 89th on the floor, so each branch of the
+    # inverter is reached
+    strikes, taus, variances, kinds = _quote_grid()
+    rng = np.random.default_rng(8)
+    out = []
+    for r in (0.0, 0.01):
+        kdisc = strikes * np.exp(-r * taus)
+        calls = kinds == "call"
+        floor = np.where(calls, np.maximum(100.0 - kdisc, 0.0), np.maximum(kdisc - 100.0, 0.0))
+        prices = np.empty_like(strikes)
+        for kind, sel in (("call", calls), ("put", ~calls)):
+            iv = np.sqrt(variances[sel]) + rng.normal(0.0, 0.005, np.count_nonzero(sel))
+            prices[sel] = bs_price(100.0, strikes[sel], taus[sel], r, iv, kind)
+        prices += rng.normal(0.0, 0.002, prices.size)
+        prices[::97] = np.where(calls, 100.0, kdisc)[::97]
+        prices[5::89] = floor[5::89]
+        iv = np.empty_like(prices)
+        for kind in ("call", "put"):
+            for tau in np.unique(taus):
+                sel = (kinds == kind) & (taus == tau)
+                iv[sel] = implied_vol_array(prices[sel], 100.0, strikes[sel], float(tau), r, kind)
+        out.append(iv)
+    out = np.concatenate(out)
+    assert np.isnan(out).any() and (out == IV_MIN).any() and np.isfinite(out).mean() > 0.5
+    assert _sha(out.tobytes()) == (
+        "6f2036f1c2717bb1f78af94bdf32b3df0c9d1dc3d8ef822aa49ce4e8c456bfef"
+    )

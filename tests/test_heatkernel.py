@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
-from mgpert.analytic import perturb_correction, price_symmetric
-from mgpert.errors import InvalidParams, QuadratureNotConverged
+from mgpert.analytic import correction_root_variance, perturb_correction, price_symmetric
+from mgpert.errors import DegenerateParams, InvalidParams, QuadratureNotConverged
 from mgpert.heatkernel import (
     QuadratureConfig,
     apply_breaking_operator,
@@ -19,6 +20,7 @@ from mgpert.heatkernel import (
 )
 from mgpert.params import (
     HeatCoords,
+    MgParams,
     OptionSpec,
     PerturbParams,
     derive_params,
@@ -170,6 +172,36 @@ class TestPsi1:
         hc = to_heat_coords(opt, scn_pert)
         lhs = opt.strike * tilt(hc, scn_deriv) * psi1_closed_form(hc, scn_pert, scn_deriv)
         rhs = perturb_correction(opt, scn_pert, scn_deriv, scn_mg.r)
+        assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    @given(
+        st.floats(min_value=70.0, max_value=140.0),
+        st.floats(min_value=1 / 365, max_value=2.0),
+        st.floats(min_value=0.005, max_value=0.5),
+        st.floats(min_value=0.1, max_value=0.6),
+        st.floats(min_value=0.2, max_value=3.0),
+        st.floats(min_value=0.1, max_value=2.0),
+        st.sampled_from([0.5, 1.0, 1.5]),
+        st.floats(min_value=0.0, max_value=0.05),
+        st.floats(min_value=0.5, max_value=2.0),
+    )
+    def test_tilted_psi1_is_analytic_correction_everywhere(
+        self, strike, tau_cal, variance, sigma, kappa, xi, alpha, r, v0
+    ):
+        mg = MgParams(kappa=kappa, theta=0.05, xi=xi, rho=-0.5, alpha=alpha, r=r)
+        pert = PerturbParams.from_mg(mg, sigma, v0=v0)
+        try:
+            deriv = derive_params(mg, pert)
+        except DegenerateParams:
+            assume(False)
+        # C1 changes sign at the root variance, where relative error means nothing
+        assume(abs(variance / correction_root_variance(pert, deriv, tau_cal) - 1.0) > 1e-3)
+        opt = OptionSpec(spot=100.0, strike=strike, tau_cal=tau_cal, variance=variance)
+        hc = to_heat_coords(opt, pert)
+        # psi1 and the tilt must both be representable
+        assume(abs(deriv.a * hc.x + deriv.b * hc.y + deriv.c * hc.tau) < 600.0)
+        lhs = opt.strike * tilt(hc, deriv) * psi1_closed_form(hc, pert, deriv)
+        rhs = perturb_correction(opt, pert, deriv, r)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_all_terms_equal_c1_only(self, scn_mg, scn_pert, scn_deriv):

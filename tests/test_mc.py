@@ -227,13 +227,15 @@ class TestSurface:
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
     def test_repeated_step_counts_give_equal_rows(self):
-        # maturities that round to one step count, the last one included
+        # maturities that round to one step count, the last one and 0 included
         cfg = McConfig(n_paths=200, n_strata=10, seed=1)
-        forwards, variances = simulate_terminal(100.0, 0.09, STATIC_MG, cfg,
-                                                [3, 5, 3, 5], 1 / 3650)
-        for rows in (forwards, variances):
-            assert rows[0].tobytes() == rows[2].tobytes()
-            assert rows[1].tobytes() == rows[3].tobytes()
+        steps = [3, 5, 0, 3, 5, 0]
+        forwards, variances = simulate_terminal(100.0, 0.09, STATIC_MG, cfg, steps, 1 / 3650)
+        euler = simulate_euler(100.0, 0.09, STATIC_MG, cfg, steps, 1 / 3650)
+        for rows in (forwards, variances, euler):
+            assert rows[0].tobytes() == rows[3].tobytes()
+            assert rows[1].tobytes() == rows[4].tobytes()
+            assert rows[2].tobytes() == rows[5].tobytes()
 
     def test_monotone_in_strike(self):
         mg = MgParams(kappa=1.1768, theta=0.0823, xi=0.3, rho=0.0, alpha=1.0)
