@@ -230,6 +230,15 @@ def cmd_oracle_check(ns) -> int:
     fails (exit 1) when any point misses the tolerance, which is
     max(rel_pass relative, abs_pass currency units).
     """
+    for flag, value in (("--rel-pass", ns.rel_pass), ("--abs-pass", ns.abs_pass)):
+        # a NaN tolerance would pass every point
+        if not 0.0 <= value < math.inf:
+            raise InvalidParams(f"{flag} must be finite and >= 0, got {value}")
+    for flag, value in (("--moneyness-points", ns.moneyness_points),
+                        ("--variance-points", ns.variance_points)):
+        # an empty grid would pass with nothing checked
+        if value < 1:
+            raise InvalidParams(f"{flag} must be >= 1, got {value}")
     mg = _mg_from_ns(ns)
     pert = PerturbParams.from_mg(mg, ns.sigma, ns.v0)
     deriv = derive_params(mg, pert)
@@ -240,8 +249,7 @@ def cmd_oracle_check(ns) -> int:
     variances = np.linspace(ns.variance_min, ns.variance_max, ns.variance_points)
     spot = 100.0
 
-    rows = []
-    max_abs = 0.0
+    rows, errs = [], []
     max_ratio = [0.0, 0.0, 0.0]  # drift, variance-diffusion, correlation terms
     n_fail = 0
     for m in moneyness:
@@ -255,9 +263,10 @@ def cmd_oracle_check(ns) -> int:
             c1_quad = opt.strike * tilt(hc, deriv) * p1
             err = abs(c1_quad - bd.c1)
             tol = max(ns.abs_pass, ns.rel_pass * abs(bd.c1))
-            if err > tol:
+            # a NaN error is a failure, not a pass
+            if not err <= tol:
                 n_fail += 1
-            max_abs = max(max_abs, err)
+            errs.append(err)
             base = abs(breaking_operator_grid(hc.x, hc.y, 0.5 * hc.tau, mg, pert, deriv,
                                               1.0, 0.0, 0.0, 0.0, ns.fd_step))
             for i, flags in enumerate([(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]):
@@ -278,6 +287,7 @@ def cmd_oracle_check(ns) -> int:
     else:
         sys.stdout.write(buf.getvalue())
     status = "PASS" if n_fail == 0 else "FAIL"
+    max_abs = np.max(errs)  # NaN propagates, unlike the builtin max
     print(f"oracle-check {status}: {len(rows)} points, max_abs_err={max_abs:.3e}, "
           f"annihilation_ratios=[{max_ratio[0]:.2e}, {max_ratio[1]:.2e}, "
           f"{max_ratio[2]:.2e}]")

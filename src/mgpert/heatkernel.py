@@ -16,10 +16,22 @@ exactly in floating point as written.  c3's (b^2 - b) f + (2b - 1) f_y + f_yy
 cancels up to rounding, and at alpha = 1 its coefficient
 xi^2 (V/v0)^(2 alpha - 2) - xi0^2 is itself 0.  So the full-operator psi1
 equals the c1-only psi1, hence the closed form, at every alpha.
+
+The same factorization makes the quadrature cheap.  psi0 = e^{-b y} g(x, tau)
+with g = psi0 at y = 0, and each term of the breaking operator is a
+coefficient in y times a bracket in (psi0, its x-derivatives), so each term
+of D psi0 is a function of y times a function of (x, t).  The Gaussian
+propagator factors the same way, so on a tensor grid of nodes the double sum
+over (x', y') is a short sum of products of two 1-D sums.  That is the same
+sum in exact arithmetic, not an approximation: it agrees with the
+tensor-product pass it replaced to ~1e-11 relative (recorded values in the
+tests).  g and its x-derivatives are still central differences of psi0, so
+the oracle stays independent of the closed form.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -60,8 +72,11 @@ class QuadratureConfig:
     rel_tol: float = 1e-3
 
     def __post_init__(self):
-        if not self.half_width >= 6.0:
-            raise InvalidParams(f"half_width must be >= 6, got {self.half_width}")
+        if not 6.0 <= self.half_width < math.inf:
+            raise InvalidParams(f"half_width must be finite and >= 6, got {self.half_width}")
+        # a NaN, zero or negative tolerance would switch the refinement check off
+        if not 0.0 < self.rel_tol < math.inf:
+            raise InvalidParams(f"rel_tol must be finite and > 0, got {self.rel_tol}")
         # >= 64 recommended for production use; smaller grids are allowed so
         # that forced non-convergence is reachable from the CLI
         if not self.n_nodes >= 4:
@@ -111,6 +126,50 @@ def heat_green(x, y, tau, xp, yp, t):
     return out if out.ndim else float(out)
 
 
+def _breaking_terms(mg: MgParams, pert: PerturbParams, deriv: DerivedParams):
+    """The four terms of the symmetry-breaking operator, as (coef, bracket) pairs.
+
+    Term k of D psi0 is coef_k(y) * bracket_k(f, f_x, f_xx), with f = psi0 and
+    its x-derivatives.  The y-derivatives are folded into the brackets through
+    f_y = -b f, f_yy = b^2 f and f_xy = -b f_x, so each bracket is linear in
+    (f, f_x, f_xx): applied to psi0 = e^{-b y} g(x, tau) it is e^{-b y} times
+    the same bracket of g.
+    """
+    a, b = deriv.a, deriv.b
+    v0 = pert.v0
+    sigma2 = pert.sigma**2
+    alpha = mg.alpha
+    return (
+        (
+            lambda y: 0.5 * (v0 * np.exp(y) - sigma2),
+            lambda f, fx, fxx: (a * a - a) * f + (2.0 * a - 1.0) * fx + fxx,
+        ),
+        (
+            lambda y: (mg.lam / v0) * np.exp(-y),
+            lambda f, fx, fxx: -b * f + b * f,
+        ),
+        (
+            lambda y: mg.xi**2 * v0 ** (2.0 * alpha - 2.0) * np.exp((2.0 * alpha - 2.0) * y)
+            - pert.xi0**2,
+            lambda f, fx, fxx: (b * b - b) * f + (2.0 * b - 1.0) * (-b * f) + b**2 * f,
+        ),
+        (
+            lambda y: mg.xi * mg.rho * v0 ** (alpha - 0.5) * np.exp((alpha - 0.5) * y),
+            # grouped so the analytic cancellation (a b f + b fx) + (a fy + fxy) = 0
+            # is exact in floating point, not just up to association-order noise
+            lambda f, fx, fxx: (a * (b * f) + b * fx) + (a * (-b * f) + -b * fx),
+        ),
+    )
+
+
+def _x_stencil(field, x, h):
+    """field and its first two x-derivatives by central differences, step h."""
+    f0 = field(x)
+    fp = field(x + h)
+    fm = field(x - h)
+    return f0, (fp - fm) / (2.0 * h), (fp - 2.0 * f0 + fm) / h**2
+
+
 def breaking_operator_grid(
     x,
     y,
@@ -131,38 +190,11 @@ def breaking_operator_grid(
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    a, b = deriv.a, deriv.b
-    sigma2 = pert.sigma**2
-    v0 = pert.v0
-    h = fd_step
-
-    f0 = psi0_grid(x, y, tau, deriv)
-    fp = psi0_grid(x + h, y, tau, deriv)
-    fm = psi0_grid(x - h, y, tau, deriv)
-    fx = (fp - fm) / (2.0 * h)
-    fxx = (fp - 2.0 * f0 + fm) / h**2
-    fy = -b * f0
-    fyy = b**2 * f0
-    fxy = -b * fx
-
+    f = _x_stencil(lambda xs: psi0_grid(xs, y, tau, deriv), x, fd_step)
     out = np.zeros(np.broadcast(x, y).shape)
-    if c1:
-        out = out + c1 * 0.5 * (v0 * np.exp(y) - sigma2) * (
-            (a * a - a) * f0 + (2.0 * a - 1.0) * fx + fxx
-        )
-    if c2:
-        out = out + c2 * (mg.lam / v0) * np.exp(-y) * (fy + b * f0)
-    if c3:
-        out = out + c3 * (
-            mg.xi**2 * v0 ** (2.0 * mg.alpha - 2.0) * np.exp((2.0 * mg.alpha - 2.0) * y)
-            - pert.xi0**2
-        ) * ((b * b - b) * f0 + (2.0 * b - 1.0) * fy + fyy)
-    if c4:
-        # group so the analytic cancellation (a b f0 + b fx) + (a fy + fxy) = 0
-        # is exact in floating point, not just up to association-order noise
-        out = out + c4 * mg.xi * mg.rho * v0 ** (mg.alpha - 0.5) * np.exp(
-            (mg.alpha - 0.5) * y
-        ) * ((a * (b * f0) + b * fx) + (a * fy + fxy))
+    for c, (coef, bracket) in zip((c1, c2, c3, c4), _breaking_terms(mg, pert, deriv)):
+        if c:
+            out = out + c * coef(y) * bracket(*f)
     return out
 
 
@@ -184,56 +216,68 @@ def apply_breaking_operator(
     )
 
 
+@functools.lru_cache(maxsize=16)
+def _leggauss(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per n."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _psi1_single_grid(coords, mg, pert, deriv, qcfg, c_flags):
     """One quadrature pass of psi1 = -int_0^tau dt iint G * (D psi0).
 
-    Spatial integration uses kernel-scaled coordinates per time slice, with
-    the x'-panel split at the payoff kink X = 0 so each piece is smooth.
+    Spatial integration uses kernel-scaled coordinates per time slice,
+    x' = x + s u and y' = y + s v with s = 2 sqrt(tau - t), on a Gauss-Legendre
+    tensor grid (u, v) with Gaussian weights, the u-panel split at the payoff
+    kink x' = 0 so each piece is smooth.  The integrand is separable: term k
+    of D psi0 is coef_k(y') e^{-b y'} times bracket_k of g(x', t) = psi0(x', 0, t)
+    (see _breaking_terms).  So the tensor sum sum_u sum_v uw vw D psi0 equals
+    sum_k (sum_u uw bracket_k) (sum_v vw coef_k e^{-b y'}) in exact arithmetic,
+    and each slice costs two 1-D sums per term instead of one 2-D sum.
     """
     x, y, tau = coords.x, coords.y, coords.tau
     L = qcfg.half_width
     ns, nt = qcfg.n_nodes, qcfg.n_time
-    c1, c2, c3, c4 = c_flags
 
-    full_n, full_w = np.polynomial.legendre.leggauss(ns)
-    half_n, half_w = np.polynomial.legendre.leggauss(max(ns // 2, 2))
-    tn, tw = np.polynomial.legendre.leggauss(nt)
+    full_n, full_w = _leggauss(ns)
+    half_n, half_w = _leggauss(max(ns // 2, 2))
+    tn, tw = _leggauss(nt)
     t_nodes = 0.5 * tau * (tn + 1.0)
     t_weights = 0.5 * tau * tw
+    scale = 2.0 * np.sqrt(tau - t_nodes)
+
+    u_slices, w_slices = [], []
+    for u_kink in -x / scale:
+        if -L < u_kink < L:
+            u_slices.append(np.concatenate([0.5 * (half_n + 1.0) * (u_kink + L) - L,
+                                            0.5 * (half_n + 1.0) * (L - u_kink) + u_kink]))
+            w_slices.append(np.concatenate([0.5 * half_w * (u_kink + L),
+                                            0.5 * half_w * (L - u_kink)]))
+        else:
+            u_slices.append(full_n * L)
+            w_slices.append(full_w * L)
+    # all slices' u-nodes end to end; slice i's run starts at starts[i]
+    sizes = [len(us) for us in u_slices]
+    starts = np.cumsum([0] + sizes[:-1])
+    u = np.concatenate(u_slices)
+    uw = np.concatenate(w_slices) * np.exp(-(u**2))
+    t_u = np.repeat(t_nodes, sizes)
+    g = _x_stencil(lambda xs: psi0_grid(xs, 0.0, t_u, deriv),
+                   x + np.repeat(scale, sizes) * u, qcfg.fd_step)
 
     v = full_n * L
     vw = full_w * L * np.exp(-(v**2))
+    y_nodes = y + scale[:, None] * v[None, :]
+    y_factor = np.exp(-deriv.b * y_nodes)
 
-    total = 0.0
-    for ti, wi in zip(t_nodes, t_weights):
-        scale = 2.0 * math.sqrt(tau - ti)
-        u_kink = -x / scale
-        if -L < u_kink < L:
-            u_lo = 0.5 * (half_n + 1.0) * (u_kink + L) - L
-            w_lo = 0.5 * half_w * (u_kink + L)
-            u_hi = 0.5 * (half_n + 1.0) * (L - u_kink) + u_kink
-            w_hi = 0.5 * half_w * (L - u_kink)
-            u = np.concatenate([u_lo, u_hi])
-            uw = np.concatenate([w_lo, w_hi])
-        else:
-            u = full_n * L
-            uw = full_w * L
-        uw = uw * np.exp(-(u**2))
-        integrand = breaking_operator_grid(
-            x + scale * u[:, None],
-            y + scale * v[None, :],
-            ti,
-            mg,
-            pert,
-            deriv,
-            c1,
-            c2,
-            c3,
-            c4,
-            qcfg.fd_step,
-        )
-        total += wi * float(np.outer(uw, vw).ravel() @ integrand.ravel()) / math.pi
-    return -total
+    per_slice = np.zeros(nt)
+    for c, (coef, bracket) in zip(c_flags, _breaking_terms(mg, pert, deriv)):
+        if c:
+            x_sums = np.add.reduceat(uw * bracket(*g), starts)
+            y_sums = (coef(y_nodes) * y_factor) @ vw
+            per_slice += c * x_sums * y_sums
+    return -float(t_weights @ per_slice) / math.pi
 
 
 def psi1_quadrature(
@@ -244,10 +288,13 @@ def psi1_quadrature(
     qcfg: QuadratureConfig | None = None,
     c_flags=(1.0, 1.0, 1.0, 1.0),
 ) -> float:
-    """psi1 by tensor-product quadrature, with one grid refinement as check.
+    """psi1 by separable Gauss-Legendre quadrature, with one grid refinement as check.
 
-    Raises QuadratureNotConverged when the refined grid disagrees with the
-    base grid by more than qcfg.rel_tol relative.
+    Each time slice contracts 1-D sums over x' and y' (see _psi1_single_grid);
+    the x-derivatives of psi0 are central differences, so the oracle shares
+    nothing with the closed form.  Raises QuadratureNotConverged when the
+    refined grid disagrees with the base grid by more than qcfg.rel_tol
+    relative.
     """
     if coords.tau <= 0:
         raise InvalidParams("psi1 quadrature requires tau > 0")
@@ -276,7 +323,15 @@ def psi1_closed_form(
         coords.x, 2.0 * coords.tau / sigma2, pert.v0 * math.exp(coords.y), pert.sigma,
         deriv.r2, 0.5 * deriv.r1 * sigma2,
     )
-    return c1_per_strike / tilt(coords, deriv)
+    phi = tilt(coords, deriv)
+    psi1 = c1_per_strike / phi if phi > 0.0 else math.inf
+    if math.isinf(psi1):
+        exponent = deriv.a * coords.x + deriv.b * coords.y + deriv.c * coords.tau
+        raise InvalidParams(
+            f"psi1 = C1 / (K phi) overflows a double: the tilt exponent "
+            f"a x + b y + c tau = {exponent:.6g} is too negative"
+        )
+    return psi1
 
 
 def reconstruct_psi0(
@@ -293,7 +348,7 @@ def reconstruct_psi0(
         return float(psi0_grid(x, y, tau, deriv))
     r1, r2 = deriv.r1, deriv.r2
     L = half_width * math.sqrt(2.0 * tau)
-    gn, gw = np.polynomial.legendre.leggauss(n_nodes)
+    gn, gw = _leggauss(n_nodes)
 
     hi = max(x + L, L)
     xn = 0.5 * (gn + 1.0) * hi

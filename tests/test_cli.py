@@ -179,6 +179,13 @@ PRICE_FLOAT_FLAGS = [
 ]
 
 
+ORACLE_FLOAT_FLAGS = [
+    "--" + dest.replace("_", "-")
+    for dest, default in cli.build_parser()[1]["oracle-check"][1].items()
+    if isinstance(default, float)
+]
+
+
 def _resolved(*argv):
     ns, _, _ = cli._resolve(list(argv), *cli.build_parser())
     return ns
@@ -189,6 +196,23 @@ class TestInProcessValidation:
     def test_price_rejects_non_finite_flags(self, flag, value):
         # flag=value form, since argparse reads a bare "-inf" as an option
         assert cli.main(["price", f"{flag}={value}"]) == cli.EXIT_VALIDATION
+
+    @given(st.sampled_from(ORACLE_FLOAT_FLAGS), st.sampled_from(["nan", "inf", "-inf"]))
+    def test_oracle_check_rejects_non_finite_flags(self, flag, value):
+        # --rel-tol, --half-width, --rel-pass and --abs-pass used to disable checks
+        assert cli.main(["oracle-check", f"{flag}={value}"]) == cli.EXIT_VALIDATION
+
+    @pytest.mark.parametrize("flag", ["--rel-pass=-1", "--abs-pass=-1",
+                                      "--moneyness-points=0", "--variance-points=-1"])
+    def test_oracle_check_rejects_out_of_domain(self, flag):
+        # a negative tolerance fails every point; an empty grid passes with none checked
+        assert cli.main(["oracle-check", flag]) == cli.EXIT_VALIDATION
+
+    def test_oracle_check_nan_error_fails(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "psi1_quadrature", lambda *args, **kwargs: math.nan)
+        argv = ["oracle-check", "--moneyness-points", "1", "--variance-points", "1"]
+        assert cli.main(argv) == cli.EXIT_CHECK_FAILURE
+        assert "FAIL: 1 points, max_abs_err=nan" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flag", [["--paths", "2000"], ["--sample-paths", "2"],
                                       ["--obs", "1"]])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +30,22 @@ from mgpert.params import (
 )
 
 RNG = np.random.default_rng(20240817)
+
+# psi1_quadrature on acceptance 3's grid (moneyness outer, variance inner),
+# recorded with the tensor-product pass before the separable pass replaced it;
+# the two are the same sum in exact arithmetic
+ACCEPTANCE_3_PSI1 = [
+    647531196.5338577, 103798.72991439178, 1312.12770765924,
+    -90.95749575439118, -65.953043651178,
+    1213044803.0216534, 194450.10610203355, 2458.0587072029475,
+    -170.39413429912685, -123.55234359604195,
+    1474212658.5701442, 236315.1032432846, 2987.277346973439,
+    -207.07989451833583, -150.15309286595368,
+    1235777597.0018795, 198094.1546895861, 2504.123404909599,
+    -173.58736734924906, -125.86774857303601,
+    751926002.0547429, 120533.13325963041, 1523.6685839759878,
+    -105.62163880855691, -76.58597563547278,
+]
 
 
 def random_coords(n, tau_range=(0.0005, 0.01)):
@@ -140,6 +157,28 @@ class TestBreakingOperator:
         assert scalar == pytest.approx(float(grid[0]))
 
 
+class TestBreakingTermsVanishExactly:
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_c2_c4_exactly_zero_on_acceptance_2_draws(self, alpha):
+        # acceptance 2's 10^4 draws: same seed, same order
+        rng = np.random.default_rng(7)
+        n = 10_000
+        x = rng.uniform(-0.3, 0.3, n)
+        y = rng.uniform(-4.0, -1.0, n)
+        tau = rng.uniform(0.0005, 0.01, n)
+        mg = MgParams(kappa=1.5, theta=0.08, xi=1.5, rho=-0.5, alpha=alpha)
+        pert = PerturbParams.from_mg(mg, 0.2865)
+        deriv = derive_params(mg, pert)
+        for flags in [(0, 1, 0, 0), (0, 0, 0, 1)]:
+            term = breaking_operator_grid(x, y, tau, mg, pert, deriv, *flags)
+            assert np.count_nonzero(term) == 0
+
+    def test_c2_c4_quadrature_exactly_zero(self, scn_mg, scn_pert, scn_deriv):
+        hc = HeatCoords(0.05, math.log(0.09), 0.003)
+        for flags in [(0, 1, 0, 0), (0, 0, 0, 1)]:
+            assert psi1_quadrature(hc, scn_mg, scn_pert, scn_deriv, c_flags=flags) == 0.0
+
+
 class TestPsi0Reconstruction:
     def test_propagated_boundary_recovers_psi0(self, scn_deriv):
         for x, y, tau in [(0.0, -2.41, 0.0012), (0.1, -3.0, 0.003), (-0.1, -2.0, 0.002)]:
@@ -239,6 +278,59 @@ class TestPsi1:
         rms_h = math.sqrt(np.mean(np.square(r_h)))
         assert math.log2(rms_2h / rms_h) > 1.9
 
+    def test_underflowing_tilt_raises_invalid_params(self):
+        # tilt exponent -1275: phi underflows to 0 while C1 is a modest number
+        mg = MgParams(kappa=1.0, theta=0.05, xi=0.125, rho=-0.5, alpha=1.5)
+        pert = PerturbParams.from_mg(mg, 0.125)
+        deriv = derive_params(mg, pert)
+        opt = OptionSpec(spot=100.0, strike=70.0, tau_cal=1.0, variance=0.5)
+        c1 = perturb_correction(opt, pert, deriv, mg.r)
+        assert c1 == pytest.approx(-1.2886e-3, rel=1e-4)
+        with pytest.raises(InvalidParams, match="tilt exponent"):
+            psi1_closed_form(to_heat_coords(opt, pert), pert, deriv)
+
+
+class TestRecordedTensorValues:
+    """The separable pass reproduces the tensor-product pass's recorded values."""
+
+    def test_acceptance_3_grid(self, scn_mg, scn_pert, scn_deriv):
+        got = []
+        for m in np.linspace(0.9, 1.1, 5):
+            for v in np.linspace(0.01, 0.1225, 5):
+                opt = OptionSpec(spot=100.0, strike=100.0 * m, tau_cal=30 / 365,
+                                 variance=float(v))
+                hc = to_heat_coords(opt, scn_pert)
+                got.append(psi1_quadrature(hc, scn_mg, scn_pert, scn_deriv))
+        np.testing.assert_allclose(got, ACCEPTANCE_3_PSI1, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("spot, days, variance, expected", [
+        (100.0, 30, 0.09, -164.1979634804656),
+        (92.0, 14, 0.04, 35296.76028993993),
+    ])
+    def test_frozen_points(self, scn_mg, scn_pert, scn_deriv, spot, days, variance,
+                           expected):
+        opt = OptionSpec(spot=spot, strike=100.0, tau_cal=days / 365, variance=variance)
+        q = psi1_quadrature(to_heat_coords(opt, scn_pert), scn_mg, scn_pert, scn_deriv)
+        assert q == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("c_flags", [(1, 1, 1, 1), (1, 0, 0, 0)])
+    def test_acceptance_2_point(self, scn_mg, scn_pert, scn_deriv, c_flags):
+        hc = HeatCoords(0.05, math.log(0.09), 0.003)
+        q = psi1_quadrature(hc, scn_mg, scn_pert, scn_deriv, c_flags=c_flags)
+        assert q == pytest.approx(-127.65919272641354, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("alpha, expected", [
+        (0.5, -11099388329.747192),
+        (1.5, -764862.9467290136),
+    ])
+    def test_other_alpha(self, scn_mg, alpha, expected):
+        mg = replace(scn_mg, alpha=alpha)
+        pert = PerturbParams.from_mg(mg, 0.2865)
+        deriv = derive_params(mg, pert)
+        opt = OptionSpec(spot=100.0, strike=100.0, tau_cal=30 / 365, variance=0.09)
+        q = psi1_quadrature(to_heat_coords(opt, pert), mg, pert, deriv)
+        assert q == pytest.approx(expected, rel=1e-10, abs=0.0)
+
 
 class TestQuadratureConfig:
     def test_validation(self):
@@ -248,6 +340,14 @@ class TestQuadratureConfig:
             QuadratureConfig(n_nodes=2)
         with pytest.raises(InvalidParams):
             QuadratureConfig(fd_step=1e-8)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"rel_tol": math.nan}, {"rel_tol": 0.0}, {"rel_tol": -1.0},
+        {"rel_tol": math.inf}, {"half_width": math.inf}, {"half_width": math.nan},
+    ])
+    def test_rejects_values_that_disable_checks(self, kwargs):
+        with pytest.raises(InvalidParams):
+            QuadratureConfig(**kwargs)
 
     def test_refined_doubles(self):
         q = QuadratureConfig()
