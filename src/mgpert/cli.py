@@ -3,7 +3,8 @@
 Exit codes: 0 ok, 1 check failure, 2 validation error, 3 degenerate
 parameters, 4 non-convergence.  All maturities are taken in days and
 converted with a 365-day year.  Config files are flat UTF-8 key=value
-lines ('#' starts a comment); precedence is flags > config file > defaults.
+lines ('#' starts a comment) whose values are parsed as the flags' are;
+precedence is flags > config file > defaults.
 """
 
 from __future__ import annotations
@@ -114,68 +115,9 @@ def read_config_file(path, known_keys):
                 if key not in known_keys:
                     raise InvalidParams(f"{path}:{lineno}: unknown config key {key!r}")
                 values[key] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidParams(f"cannot read config file {path}: {exc}") from exc
     return values
-
-
-class _FlagSpec:
-    """One CLI option: flag name, type, default, help text with units."""
-
-    def __init__(self, flag, type_, default, help_):
-        self.flag = flag
-        self.dest = flag.lstrip("-").replace("-", "_")
-        self.type = type_
-        self.default = default
-        self.help = help_
-
-
-MODEL_FLAGS = [
-    _FlagSpec("--kappa", float, 1.5, "mean-reversion speed [1/year]"),
-    _FlagSpec("--theta", float, 0.08, "long-run variance [1/year]"),
-    _FlagSpec("--xi", float, 1.5, "vol-of-vol [year^(alpha-3/2)]"),
-    _FlagSpec("--rho", float, -0.5, "driver correlation, in [-1, 1]"),
-    _FlagSpec("--alpha", float, 1.0, "variance exponent [dimensionless]"),
-    _FlagSpec("--rate", float, 0.0, "risk-free rate [1/year]"),
-]
-
-CONTRACT_FLAGS = [
-    _FlagSpec("--spot", float, 100.0, "spot price [currency]"),
-    _FlagSpec("--strike", float, 100.0, "strike [currency]"),
-    _FlagSpec("--days", float, 30.0, "time to maturity [days, 365-day year]"),
-    _FlagSpec("--kind", str, "call", "option kind: call or put"),
-    _FlagSpec("--variance", float, 0.04, "current instantaneous variance [1/year]"),
-]
-
-SIGMA_FLAG = _FlagSpec("--sigma", float, 0.2, "averaged volatility [1/sqrt(year)]")
-V0_FLAG = _FlagSpec("--v0", float, 1.0, "reference variance scale [1/year]")
-
-MC_FLAGS = [
-    _FlagSpec("--paths", int, 100_000, "Monte Carlo paths [count]"),
-    _FlagSpec("--steps-per-day", int, 10, "Euler steps per day [count]"),
-    _FlagSpec("--antithetic", _boolean, True, "antithetic mirroring [true/false]"),
-    _FlagSpec("--stratified", _boolean, True, "first-step stratification [true/false]"),
-    _FlagSpec("--strata", int, 50, "number of equiprobable strata [count]"),
-    _FlagSpec("--seed", int, 0, "random seed [integer]"),
-]
-
-QUAD_FLAGS = [
-    _FlagSpec("--nodes", int, 128, "spatial quadrature nodes per axis [count]"),
-    _FlagSpec("--time-nodes", int, 64, "time-layer quadrature nodes [count]"),
-    _FlagSpec("--half-width", float, 8.0, "spatial half-width [kernel-scale units]"),
-    _FlagSpec("--fd-step", float, 1e-4, "finite-difference step [heat x units]"),
-    _FlagSpec("--rel-tol", float, 1e-3, "quadrature refinement tolerance [relative]"),
-]
-
-
-def _add_flags(parser, specs):
-    for s in specs:
-        parser.add_argument(s.flag, dest=s.dest, type=s.type, default=argparse.SUPPRESS,
-                            help=f"{s.help} (default: {s.default})")
-
-
-def _defaults(specs):
-    return {s.dest: s.default for s in specs}
 
 
 def _mg_from_ns(ns) -> MgParams:
@@ -294,42 +236,59 @@ def cmd_oracle_check(ns) -> int:
     return EXIT_OK if n_fail == 0 else EXIT_CHECK_FAILURE
 
 
-def cmd_experiment(ns) -> int:
-    # every option is checked before the output directory is created
-    if ns.experiment == "static":
-        cfg = McConfig(n_paths=ns.paths, steps_per_day=ns.steps_per_day, seed=ns.seed,
-                       n_strata=ns.strata)
-    else:
-        if ns.dataset not in DATASETS:
-            raise InvalidParams(f"--dataset must be one of {sorted(DATASETS)}, got {ns.dataset}")
-        if ns.full:
-            sample_paths, obs, paths = 100, 52, 50_000
-        else:
-            sample_paths, obs, paths = ns.sample_paths, ns.obs, ns.paths
-        spec = TimeSeriesSpec(n_sample_paths=sample_paths, n_obs=obs,
-                              mc=McConfig(n_paths=paths, steps_per_day=ns.steps_per_day,
-                                          n_strata=ns.strata, seed=ns.seed))
+def _make_out_dir(out_dir):
+    """Create the report directory and check it takes files, before a long run."""
     try:
-        os.makedirs(ns.out_dir, exist_ok=True)
-        probe = os.path.join(ns.out_dir, ".write_probe")
+        os.makedirs(out_dir, exist_ok=True)
+        probe = os.path.join(out_dir, ".write_probe")
         with open(probe, "w", encoding="utf-8"):
             pass
         os.remove(probe)
     except OSError as exc:
-        raise InvalidParams(f"output directory {ns.out_dir!r} not writable: {exc}") from exc
-    comment = f"config {config_hash(ns)}"
+        raise InvalidParams(f"output directory {out_dir!r} not writable: {exc}") from exc
 
-    if ns.experiment == "static":
-        report = run_static_experiment(mc_cfg=cfg, maturity_days=ns.days)
-        write_static_report(report, ns.out_dir, comment)
-        print("v_init sigma_hat ivrmse")
-        for row in report.rows:
-            print(f"{row.v_init:.4f} {row.sigma_hat:.4f} {row.ivrmse:.4f}")
-        return EXIT_OK
 
+def cmd_static(ns) -> int:
+    # every option is checked before the output directory is created
+    if not 0.0 < ns.days < math.inf:
+        raise InvalidParams(f"--days must be finite and > 0, got {ns.days}")
+    cfg = McConfig(n_paths=ns.paths, steps_per_day=ns.steps_per_day, seed=ns.seed,
+                   n_strata=ns.strata)
+    _make_out_dir(ns.out_dir)
+    report = run_static_experiment(mc_cfg=cfg, maturity_days=ns.days)
+    write_static_report(report, ns.out_dir, f"config {config_hash(ns)}")
+    print("v_init sigma_hat ivrmse")
+    for row in report.rows:
+        print(f"{row.v_init:.4f} {row.sigma_hat:.4f} {row.ivrmse:.4f}")
+    return EXIT_OK
+
+
+def cmd_timeseries(ns) -> int:
+    # every option is checked before the output directory is created
+    if ns.dataset not in DATASETS:
+        raise InvalidParams(f"--dataset must be one of {sorted(DATASETS)}, got {ns.dataset}")
+    if ns.threads < 1:
+        raise InvalidParams(f"--threads must be >= 1, got {ns.threads}")
+    desk_scale = {"paths": 10_000, "sample_paths": 10, "obs": 12}
+    if ns.full and any(getattr(ns, key) is not None for key in desk_scale):
+        raise InvalidParams("--full sets the paths, sample paths and observations; "
+                            "give none of --paths, --sample-paths, --obs with it")
+    # unset scale flags take their desk-scale values, which the header hashes,
+    # under --full too
+    for key, value in desk_scale.items():
+        if getattr(ns, key) is None:
+            setattr(ns, key, value)
+    if ns.full:
+        sample_paths, obs, paths = 100, 52, 50_000
+    else:
+        sample_paths, obs, paths = ns.sample_paths, ns.obs, ns.paths
+    spec = TimeSeriesSpec(n_sample_paths=sample_paths, n_obs=obs,
+                          mc=McConfig(n_paths=paths, steps_per_day=ns.steps_per_day,
+                                      n_strata=ns.strata, seed=ns.seed))
+    _make_out_dir(ns.out_dir)
     report = run_timeseries_experiment(ns.dataset, spec=spec, seed=ns.seed,
                                        n_workers=ns.threads)
-    write_timeseries_report(report, ns.out_dir, comment)
+    write_timeseries_report(report, ns.out_dir, f"config {config_hash(ns)}")
     print("dataset param true mean bias std")
     for s in report.param_stats:
         print(f"{s.dataset} {s.param} {s.true:.4f} {s.mean:.4f} {s.bias:.4f} {s.std:.4f}")
@@ -338,110 +297,129 @@ def cmd_experiment(ns) -> int:
 
 
 def build_parser():
+    """The `mgpert` parser, and each command's own parser keyed by its handler."""
     parser = argparse.ArgumentParser(
         prog="mgpert",
         description="Perturbative stochastic-volatility pricing engine.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    table = {}
+    leaves = {}
 
-    p = sub.add_parser("price", help="closed-form perturbative price")
-    _add_flags(p, MODEL_FLAGS + CONTRACT_FLAGS + [SIGMA_FLAG, V0_FLAG])
-    p.add_argument("--config", default=None, help="flat key=value config file [path]")
-    table["price"] = (p, _defaults(MODEL_FLAGS + CONTRACT_FLAGS + [SIGMA_FLAG, V0_FLAG]),
-                      cmd_price)
+    def leaf(subparsers, name, func, help_, parents):
+        p = subparsers.add_parser(name, help=help_, parents=parents,
+                                  formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        p.add_argument("--config", help="flat key=value config file [path]")
+        p.set_defaults(func=func)
+        leaves[func] = p
+        return p
 
-    p = sub.add_parser("mc-price", help="Monte Carlo price of one contract")
-    _add_flags(p, MODEL_FLAGS + CONTRACT_FLAGS + MC_FLAGS)
-    p.add_argument("--config", default=None, help="flat key=value config file [path]")
-    table["mc-price"] = (p, _defaults(MODEL_FLAGS + CONTRACT_FLAGS + MC_FLAGS),
-                         cmd_mc_price)
+    # flag groups shared between commands
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--kappa", type=float, default=1.5, help="mean-reversion speed [1/year]")
+    model.add_argument("--theta", type=float, default=0.08, help="long-run variance [1/year]")
+    model.add_argument("--xi", type=float, default=1.5, help="vol-of-vol [year^(alpha-3/2)]")
+    model.add_argument("--rho", type=float, default=-0.5, help="driver correlation, in [-1, 1]")
+    model.add_argument("--alpha", type=float, default=1.0,
+                       help="variance exponent [dimensionless]")
+    model.add_argument("--rate", type=float, default=0.0, help="risk-free rate [1/year]")
+    maturity = argparse.ArgumentParser(add_help=False)
+    maturity.add_argument("--days", type=float, default=30.0,
+                          help="time to maturity [days, 365-day year]")
+    contract = argparse.ArgumentParser(add_help=False, parents=[maturity])
+    contract.add_argument("--spot", type=float, default=100.0, help="spot price [currency]")
+    contract.add_argument("--strike", type=float, default=100.0, help="strike [currency]")
+    contract.add_argument("--kind", default="call", help="option kind: call or put")
+    contract.add_argument("--variance", type=float, default=0.04,
+                          help="current instantaneous variance [1/year]")
+    pert = argparse.ArgumentParser(add_help=False)
+    pert.add_argument("--sigma", type=float, default=0.2,
+                      help="averaged volatility [1/sqrt(year)]")
+    pert.add_argument("--v0", type=float, default=1.0, help="reference variance scale [1/year]")
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--strata", type=int, default=50,
+                          help="number of equiprobable strata [count]")
+    sampling.add_argument("--seed", type=int, default=0, help="random seed [integer]")
+    study = argparse.ArgumentParser(add_help=False, parents=[sampling])
+    study.add_argument("--steps-per-day", type=int, default=10,
+                       help="variance steps per day [count]")
+    study.add_argument("--out-dir", default="out", help="report output directory [path]")
 
-    p = sub.add_parser("oracle-check",
-                       help="quadrature vs closed-form correction on a scenario grid")
-    grid_flags = [
-        _FlagSpec("--days", float, 30.0, "time to maturity [days, 365-day year]"),
-        _FlagSpec("--moneyness-min", float, 0.9, "lowest S/K on the grid [ratio]"),
-        _FlagSpec("--moneyness-max", float, 1.1, "highest S/K on the grid [ratio]"),
-        _FlagSpec("--moneyness-points", int, 5, "moneyness grid points [count]"),
-        _FlagSpec("--variance-min", float, 0.01, "lowest variance on the grid [1/year]"),
-        _FlagSpec("--variance-max", float, 0.1225, "highest variance on the grid [1/year]"),
-        _FlagSpec("--variance-points", int, 5, "variance grid points [count]"),
-        _FlagSpec("--rel-pass", float, 1e-3, "pass tolerance [relative]"),
-        _FlagSpec("--abs-pass", float, 5e-3, "pass tolerance [currency units]"),
-        _FlagSpec("--out", str, "", "CSV output path; empty for stdout"),
-    ]
-    _add_flags(p, MODEL_FLAGS + [SIGMA_FLAG, V0_FLAG] + QUAD_FLAGS + grid_flags)
-    p.add_argument("--config", default=None, help="flat key=value config file [path]")
-    table["oracle-check"] = (
-        p, _defaults(MODEL_FLAGS + [SIGMA_FLAG, V0_FLAG] + QUAD_FLAGS + grid_flags),
-        cmd_oracle_check)
+    leaf(sub, "price", cmd_price, "closed-form perturbative price", [model, contract, pert])
+
+    p = leaf(sub, "mc-price", cmd_mc_price, "Monte Carlo price of one contract",
+             [model, contract, sampling])
+    p.add_argument("--paths", type=int, default=100_000, help="Monte Carlo paths [count]")
+    p.add_argument("--steps-per-day", type=int, default=10, help="Euler steps per day [count]")
+    p.add_argument("--antithetic", type=_boolean, default=True,
+                   help="antithetic mirroring [true/false]")
+    p.add_argument("--stratified", type=_boolean, default=True,
+                   help="first-step stratification [true/false]")
+
+    p = leaf(sub, "oracle-check", cmd_oracle_check,
+             "quadrature vs closed-form correction on a scenario grid", [model, pert, maturity])
+    p.add_argument("--nodes", type=int, default=128,
+                   help="spatial quadrature nodes per axis [count]")
+    p.add_argument("--time-nodes", type=int, default=64,
+                   help="time-layer quadrature nodes [count]")
+    p.add_argument("--half-width", type=float, default=8.0,
+                   help="spatial half-width [kernel-scale units]")
+    p.add_argument("--fd-step", type=float, default=1e-4,
+                   help="finite-difference step [heat x units]")
+    p.add_argument("--rel-tol", type=float, default=1e-3,
+                   help="quadrature refinement tolerance [relative]")
+    p.add_argument("--moneyness-min", type=float, default=0.9,
+                   help="lowest S/K on the grid [ratio]")
+    p.add_argument("--moneyness-max", type=float, default=1.1,
+                   help="highest S/K on the grid [ratio]")
+    p.add_argument("--moneyness-points", type=int, default=5,
+                   help="moneyness grid points [count]")
+    p.add_argument("--variance-min", type=float, default=0.01,
+                   help="lowest variance on the grid [1/year]")
+    p.add_argument("--variance-max", type=float, default=0.1225,
+                   help="highest variance on the grid [1/year]")
+    p.add_argument("--variance-points", type=int, default=5, help="variance grid points [count]")
+    p.add_argument("--rel-pass", type=float, default=1e-3, help="pass tolerance [relative]")
+    p.add_argument("--abs-pass", type=float, default=5e-3,
+                   help="pass tolerance [currency units]")
+    p.add_argument("--out", default="", help="CSV output path; empty for stdout")
 
     p = sub.add_parser("experiment", help="static or time-series study, CSV reports")
-    p.add_argument("experiment", choices=["static", "timeseries"],
-                   help="which study to run")
-    exp_flags = [
-        _FlagSpec("--dataset", int, 1, "time-series data set id, 1-4"),
-        _FlagSpec("--paths", int, 10_000, "Monte Carlo paths per option [count]"),
-        _FlagSpec("--steps-per-day", int, 10, "Euler steps per day [count]"),
-        _FlagSpec("--strata", int, 50, "number of equiprobable strata [count]"),
-        _FlagSpec("--sample-paths", int, 10, "simulated market paths [count]"),
-        _FlagSpec("--obs", int, 12, "weekly observations per path [count]"),
-        _FlagSpec("--days", float, 30.0, "static-study maturity [days]"),
-        _FlagSpec("--seed", int, 0, "random seed [integer]"),
-        _FlagSpec("--out-dir", str, "out", "report output directory [path]"),
-        _FlagSpec("--threads", int, os.cpu_count() or 1,
-                  "worker processes; must not change results [count]"),
-    ]
-    _add_flags(p, exp_flags)
-    p.add_argument("--full", action="store_true", default=argparse.SUPPRESS,
+    studies = p.add_subparsers(dest="experiment", required=True)
+
+    p = leaf(studies, "static", cmd_static, "Table 1 and Figures 1-2: fit sigma to MC smiles",
+             [study, maturity])
+    p.add_argument("--paths", type=int, default=10_000,
+                   help="Monte Carlo paths per option [count]")
+
+    p = leaf(studies, "timeseries", cmd_timeseries,
+             "Tables 2-3: fit each simulated weekly market path", [study])
+    p.add_argument("--dataset", type=int, default=1, help="time-series data set id, 1-4")
+    p.add_argument("--paths", type=int,
+                   help="Monte Carlo paths per option; 10000 if unset [count]")
+    p.add_argument("--sample-paths", type=int,
+                   help="simulated market paths; 10 if unset [count]")
+    p.add_argument("--obs", type=int, help="weekly observations per path; 12 if unset [count]")
+    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                   help="worker processes; must not change results [count]")
+    p.add_argument("--full", type=_boolean, nargs="?", const=True, default=False,
                    help="100 paths x 52 obs x 5*10^4 sims; excludes --paths, "
                         "--sample-paths and --obs")
-    p.add_argument("--config", default=None, help="flat key=value config file [path]")
-    defaults = _defaults(exp_flags)
-    defaults["full"] = False
-    table["experiment"] = (p, defaults, cmd_experiment)
 
-    return parser, table
-
-
-def _resolve(argv, parser, table):
-    """defaults < config file < explicit flags; returns the options, the
-    handler and the set of keys given by a flag or the config file."""
-    ns = parser.parse_args(argv)
-    command = ns.command
-    cmd_parser, defaults, handler = table[command]
-    resolved = dict(defaults)
-    given = set()
-    if getattr(ns, "config", None):
-        specs = {s.dest: s for group in (MODEL_FLAGS, CONTRACT_FLAGS, MC_FLAGS,
-                                         QUAD_FLAGS, [SIGMA_FLAG, V0_FLAG])
-                 for s in group}
-        raw = read_config_file(ns.config, set(defaults))
-        given.update(raw)
-        for key, text in raw.items():
-            caster = specs[key].type if key in specs else type(defaults[key])
-            if caster is bool:
-                caster = _boolean
-            resolved[key] = caster(text)
-    for key, value in vars(ns).items():
-        if key in ("config",):
-            continue
-        resolved[key] = value
-        given.add(key)
-    out = argparse.Namespace(**resolved)
-    return out, handler, given
+    return parser, leaves
 
 
 def main(argv=None) -> int:
-    parser, table = build_parser()
+    parser, leaves = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        ns, handler, given = _resolve(argv, parser, table)
-        if getattr(ns, "full", False) and given & {"paths", "sample_paths", "obs"}:
-            raise InvalidParams("--full sets the paths, sample paths and observations; "
-                                "give none of --paths, --sample-paths, --obs with it")
-        return handler(ns)
+        ns = parser.parse_args(argv)
+        if ns.config:
+            # the file's values become the command's defaults, which argparse
+            # converts by each flag's type: flags > config file > defaults
+            known = set(vars(ns)) - {"command", "experiment", "func", "config"}
+            leaves[ns.func].set_defaults(**read_config_file(ns.config, known))
+            ns = parser.parse_args(argv)
+        return ns.func(ns)
     except (InvalidParams, NonpositiveVariance, OutOfBounds) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

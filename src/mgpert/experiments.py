@@ -13,6 +13,7 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +84,8 @@ def run_static_experiment(
     v_grid entries are initial volatilities; the simulation starts the
     variance process at v^2.
     """
+    if not 0.0 < maturity_days < math.inf:
+        raise InvalidParams(f"maturity_days must be finite and > 0, got {maturity_days}")
     mc_cfg = mc_cfg or McConfig(n_paths=500_000, steps_per_day=10, n_strata=50)
     tau = maturity_days / DAYS_PER_YEAR
     strikes = [m * spot for m in strike_grid]
@@ -190,6 +193,8 @@ def run_timeseries_experiment(
     """
     if dataset_id not in DATASETS:
         raise InvalidParams(f"dataset_id must be in {sorted(DATASETS)}, got {dataset_id}")
+    if n_workers < 1:
+        raise InvalidParams(f"n_workers must be >= 1, got {n_workers}")
     mg = DATASETS[dataset_id]
     spec = spec or TimeSeriesSpec()
     sigma0 = math.sqrt(spec.v0_init)
@@ -249,8 +254,6 @@ def _write_csv(path, header, rows, config_comment=None):
 
 
 def write_static_report(report: StaticReport, out_dir, config_comment=None):
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(
         os.path.join(out_dir, "table1.csv"),
@@ -273,28 +276,20 @@ def write_static_report(report: StaticReport, out_dir, config_comment=None):
         )
 
 
-def write_timeseries_report(reports, out_dir, config_comment=None):
-    import os
-
+def write_timeseries_report(report: TimeSeriesReport, out_dir, config_comment=None):
     os.makedirs(out_dir, exist_ok=True)
-    reports = reports if isinstance(reports, (list, tuple)) else [reports]
-    table2 = []
-    table3 = []
-    for rep in reports:
-        for s in rep.param_stats:
-            table2.append(
-                [s.dataset, s.param, repr(s.true), repr(s.mean), repr(s.bias), repr(s.std)]
-            )
-        table3.append([rep.dataset, repr(rep.ivrmse_mean), repr(rep.ivrmse_std)])
     _write_csv(
         os.path.join(out_dir, "table2.csv"),
         ["dataset", "param", "true", "mean", "bias", "std"],
-        table2,
+        [
+            [s.dataset, s.param, repr(s.true), repr(s.mean), repr(s.bias), repr(s.std)]
+            for s in report.param_stats
+        ],
         config_comment,
     )
     _write_csv(
         os.path.join(out_dir, "table3.csv"),
         ["dataset", "ivrmse_mean", "ivrmse_std"],
-        table3,
+        [[report.dataset, repr(report.ivrmse_mean), repr(report.ivrmse_std)]],
         config_comment,
     )

@@ -2,9 +2,11 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from mgpert import cli
 
@@ -138,6 +140,24 @@ class TestConfigFile:
         p = run_cli("price", "--config", "/nonexistent/run.cfg")
         assert p.returncode == 2
 
+    def test_non_utf8_file_rejected(self, tmp_path):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"kind=\xe9t\xe9\n")
+        p = run_cli("price", "--config", str(cfg))
+        assert p.returncode == 2
+        assert str(cfg) in p.stderr
+        assert "Traceback" not in p.stderr
+
+    def test_full_false_is_false(self, tmp_path):
+        # a truthy "false" would clash with the scale keys and exit 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("full=false\nsample_paths=2\nobs=1\npaths=2000\n"
+                       "steps-per-day=2\nthreads=1\n")
+        out = tmp_path / "rep"
+        p = run_cli("experiment", "timeseries", "--config", str(cfg), "--out-dir", str(out))
+        assert p.returncode == 0, p.stderr
+        assert (out / "table3.csv").exists()
+
 
 class TestExperimentCommand:
     def test_invalid_dataset(self, tmp_path):
@@ -172,26 +192,55 @@ class TestExperimentCommand:
         assert outs[0] == outs[1]
 
 
-
-PRICE_FLOAT_FLAGS = [
-    s.flag for s in cli.MODEL_FLAGS + cli.CONTRACT_FLAGS + [cli.SIGMA_FLAG, cli.V0_FLAG]
-    if s.type is float
-]
+LEAVES = cli.build_parser()[1]
 
 
-ORACLE_FLOAT_FLAGS = [
-    "--" + dest.replace("_", "-")
-    for dest, default in cli.build_parser()[1]["oracle-check"][1].items()
-    if isinstance(default, float)
+def _float_flags(handler):
+    return [a.option_strings[0] for a in LEAVES[handler]._actions if a.type is float]
+
+
+PRICE_FLOAT_FLAGS = _float_flags(cli.cmd_price)
+ORACLE_FLOAT_FLAGS = _float_flags(cli.cmd_oracle_check)
+
+# (command words, config key, malformed value) for every flag whose value is
+# parsed; --out and --out-dir take any path
+MALFORMED = {float: "abc", int: "1.5", cli._boolean: "maybe"}
+CONFIG_CASES = [
+    (tuple(leaf.prog.split()[1:]), action.dest, MALFORMED.get(action.type, "sideways"))
+    for leaf in LEAVES.values()
+    for action in leaf._actions
+    if action.dest not in ("help", "config", "out", "out_dir")
 ]
 
 
 def _resolved(*argv):
-    ns, _, _ = cli._resolve(list(argv), *cli.build_parser())
-    return ns
+    return cli.build_parser()[0].parse_args(list(argv))
+
+
+def _exit_code(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:  # argparse rejects a value
+        return exc.code
 
 
 class TestInProcessValidation:
+    def test_float_flag_lists_cover_every_float_flag(self):
+        assert len(PRICE_FLOAT_FLAGS) == 12
+        assert len(ORACLE_FLOAT_FLAGS) == 18
+
+    @given(st.sampled_from(CONFIG_CASES))
+    @example((("price",), "spot", "abc"))
+    @example((("mc-price",), "paths", "1.5"))
+    @example((("mc-price",), "antithetic", "maybe"))
+    @example((("experiment", "timeseries"), "full", "perhaps"))
+    def test_malformed_config_value_exits_two(self, case):
+        words, key, value = case
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "run.cfg"
+            cfg.write_text(f"{key}={value}\n")
+            assert _exit_code([*words, "--config", str(cfg)]) == cli.EXIT_VALIDATION
+
     @given(st.sampled_from(PRICE_FLOAT_FLAGS), st.sampled_from(["nan", "inf", "-inf"]))
     def test_price_rejects_non_finite_flags(self, flag, value):
         # flag=value form, since argparse reads a bare "-inf" as an option
@@ -229,7 +278,14 @@ class TestInProcessValidation:
 
     @pytest.mark.parametrize("argv", [["timeseries", "--dataset", "9"],
                                       ["timeseries", "--paths", "3"],
-                                      ["static", "--paths", "3"]])
+                                      ["timeseries", "--threads", "0"],
+                                      ["timeseries", "--threads=-3"],
+                                      ["static", "--paths", "3"],
+                                      ["static", "--days=nan"],
+                                      ["static", "--days=inf"],
+                                      ["static", "--days=-inf"],
+                                      ["static", "--days=-5"],
+                                      ["static", "--days=0"]])
     def test_invalid_experiment_creates_no_out_dir(self, argv, tmp_path):
         # 3 paths cannot be split into antithetic pairs
         out = tmp_path / "rep"
@@ -240,6 +296,15 @@ class TestInProcessValidation:
         with pytest.raises(SystemExit) as exc:
             cli.main(["experiment", "timeseries", "--desk-scale"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [["static", "--dataset", "2"],
+                                      ["static", "--threads", "2"],
+                                      ["static", "--full"],
+                                      ["timeseries", "--days", "45"]])
+    def test_study_rejects_flags_it_ignores(self, argv, tmp_path):
+        out = tmp_path / "rep"
+        assert _exit_code(["experiment"] + argv + ["--out-dir", str(out)]) == 2
+        assert not out.exists()
 
     def test_timeseries_uses_strata(self, tmp_path):
         # 7 strata cannot split 1000 base paths; the flag used to be ignored here
@@ -257,6 +322,23 @@ class TestConfigHash:
         assert cli.config_hash(moved) == base
         assert (cli.config_hash(_resolved("oracle-check", "--out", out_dir))
                 == cli.config_hash(_resolved("oracle-check")))
+
+    def test_default_study_headers(self, monkeypatch, tmp_path):
+        # recorded: each equals the hash over the options the study reads
+        monkeypatch.setattr(cli, "run_static_experiment", lambda **kw: None)
+        monkeypatch.setattr(cli, "run_timeseries_experiment", lambda *a, **kw: None)
+        headers = []
+
+        def capture(report, out_dir, comment):
+            headers.append(comment)
+            raise cli.MgpertError("stop")
+
+        monkeypatch.setattr(cli, "write_static_report", capture)
+        monkeypatch.setattr(cli, "write_timeseries_report", capture)
+        for argv in (["static"], ["timeseries"], ["timeseries", "--full"]):
+            cli.main(["experiment", *argv, "--out-dir", str(tmp_path)])
+        assert headers == ["config 4ee2bbc3b5ed3b1e", "config 6d480b8728f78368",
+                           "config 5d9d94299a175d16"]
 
     def test_result_options_change_it(self):
         base = cli.config_hash(_resolved("experiment", "timeseries"))

@@ -5,6 +5,7 @@ import pytest
 
 from mgpert.analytic import bs_price
 from mgpert.calibration import calibrate
+from mgpert import experiments
 from mgpert.errors import InvalidParams
 from mgpert.experiments import (
     DATASETS,
@@ -12,6 +13,7 @@ from mgpert.experiments import (
     STATIC_MONEYNESS,
     STATIC_VOL_GRID,
     _path_quote_set,
+    run_static_experiment,
     run_timeseries_experiment,
 )
 from mgpert.mc import (
@@ -331,3 +333,19 @@ class TestTimeSeries:
             assert fit.ivrmse == ref.ivrmse
             assert fit.residuals.tobytes() == ref.residuals.tobytes()
             assert (fit.iterations, fit.n_evals) == (ref.iterations, ref.n_evals)
+
+    @pytest.mark.parametrize("days", [math.nan, math.inf, -math.inf, -5.0, 0.0])
+    def test_static_experiment_rejects_bad_maturity(self, days, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before checking maturity_days")
+
+        monkeypatch.setattr(experiments, "price_surface_mc", no_simulation)
+        with pytest.raises(InvalidParams, match="maturity_days"):
+            run_static_experiment(maturity_days=days)
+
+    @pytest.mark.parametrize("n_workers", [0, -3])
+    def test_timeseries_experiment_rejects_no_workers(self, n_workers):
+        spec = TimeSeriesSpec(n_sample_paths=1, n_obs=1,
+                              mc=McConfig(n_paths=1000, steps_per_day=1, n_strata=50))
+        with pytest.raises(InvalidParams, match="n_workers"):
+            run_timeseries_experiment(1, spec=spec, n_workers=n_workers)
