@@ -3,7 +3,8 @@
 The perturbative price depends on (kappa, xi, alpha) only through R2 = 1 + sqrt(2) gamma /
 (sigma xi0), with gamma = -kappa - xi0^2 and xi0 = xi * sigma^(2(alpha-1)); theta and rho never
 enter it, so the fit searches (sigma, R2) alone.  The objective is the root mean square of
-implied-vol residuals between observed quotes and the perturbative model.
+implied-vol residuals between observed quotes and the perturbative model, and the fit minimises
+it as a least-squares problem by trust-region Levenberg-Marquardt (Marquardt 1963, More 1978).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import bs_price, correction_kernel, implied_vol_array
+from .analytic import bs_price, bs_vega, correction_kernel, implied_vol_array
 from .errors import DegenerateParams, EmptyQuoteSet, InvalidParams
 from .params import OptionSpec, correction_r2
 
@@ -22,8 +23,16 @@ from .params import OptionSpec, correction_r2
 #: strongly penalizing the region).
 PENALTY_RESIDUAL = 0.5
 
-NM_FATOL = 1e-6
-NM_MAXITER = 500
+#: Levenberg-Marquardt: first trust radius as a share of |z0|, tolerances on the relative
+#: fall of |r|^2 and on the radius relative to |z|, the cap on residual evaluations, and the
+#: cap on Newton iterations for the damping of one step.
+LM_RADIUS0 = 0.1
+LM_FTOL = 1e-12
+LM_XTOL = 1e-10
+LM_MAX_EVALS = 100
+LM_LAMBDA_MAXITER = 30
+#: Central-difference step in z for the Jacobian, about eps^(1/3).
+JAC_STEP = 6e-6
 
 
 @dataclass(frozen=True)
@@ -102,10 +111,10 @@ class CalibResult:
     theta_pert: tuple  # (kappa, xi, alpha, sigma)
     ivrmse: float
     n_quotes_used: int
-    iterations: int
+    iterations: int  # Levenberg-Marquardt Jacobians
     converged: bool
     residuals: np.ndarray
-    n_evals: int = 0  # IVRMSE objective evaluations
+    n_evals: int = 0  # residual-vector evaluations
 
 
 def pert_price_grid(spot, strike, tau, variance, r, kappa, xi, alpha, sigma):
@@ -120,7 +129,9 @@ def pert_price_grid(spot, strike, tau, variance, r, kappa, xi, alpha, sigma):
     return bs_price(spot, strike, tau, r, sigma, "call") + c1
 
 
-def _model_residuals(quotes: QuoteSet, theta) -> np.ndarray:
+def _model_residuals(quotes: QuoteSet, theta):
+    """(IV residuals, model IVs) at theta; an uninvertible model price gives
+    PENALTY_RESIDUAL and a NaN IV."""
     kappa, xi, alpha, sigma = theta
     spot, strike, tau, var, obs_iv = quotes.arrays()
     prices = pert_price_grid(spot, strike, tau, var, quotes.r, kappa, xi, alpha, sigma)
@@ -132,52 +143,111 @@ def _model_residuals(quotes: QuoteSet, theta) -> np.ndarray:
             prices[sel], spot[sel], strike[sel], float(t), quotes.r
         )
     resid = model_iv - obs_iv
-    return np.where(np.isfinite(resid), resid, PENALTY_RESIDUAL)
+    return np.where(np.isfinite(resid), resid, PENALTY_RESIDUAL), model_iv
+
+
+def _check_theta(theta, what):
+    kappa, xi, alpha, sigma = theta
+    if not (kappa > 0 and xi > 0 and sigma > 0 and alpha > 0):
+        raise InvalidParams(f"{what} out of bounds: {theta}")
 
 
 def ivrmse(quotes: QuoteSet, theta) -> float:
     """Root-mean-square implied-vol error of the model against the quotes."""
-    kappa, xi, alpha, sigma = theta
-    if not (kappa > 0 and xi > 0 and sigma > 0 and alpha > 0):
-        raise InvalidParams(f"theta out of bounds: {theta}")
-    resid = _model_residuals(quotes, theta)
+    _check_theta(theta, "theta")
+    resid, _ = _model_residuals(quotes, theta)
     if resid.size == 0:
         raise EmptyQuoteSet("no usable quotes after implied-vol screening")
     return float(np.sqrt(np.mean(resid**2)))
 
 
-def _nelder_mead(objective, z0):
-    """NM with one restart from the best vertex, per the stopping rule."""
-    # imported here: scipy.optimize costs about 0.4 s, and pricing never uses it
-    from scipy.optimize import minimize
+def _trust_region_step(jac, grad, radius):
+    """The d minimising |r + J d| over |d| <= radius, given grad = J^T r.
 
-    res = minimize(
-        objective,
-        z0,
-        method="Nelder-Mead",
-        options={"fatol": NM_FATOL, "xatol": 1e-8, "maxiter": NM_MAXITER},
-    )
-    res2 = minimize(
-        objective,
-        res.x,
-        method="Nelder-Mead",
-        options={"fatol": NM_FATOL, "xatol": 1e-8, "maxiter": NM_MAXITER},
-    )
-    best = res2 if res2.fun <= res.fun else res
-    return best, res.nit + res2.nit
+    The Gauss-Newton step if it fits, else (J^T J + lam I) d = -grad with |d| within 10% of
+    radius, lam from Newton's method on 1/|d| - 1/radius, which rises monotonically to the
+    root from lam = 0 (More 1978).  Directions J^T J cannot see are left out of d.
+    """
+    s, v = np.linalg.eigh(jac.T @ jac)
+    g = v.T @ grad
+    lam = 0.0
+    for _ in range(LM_LAMBDA_MAXITER):
+        seen = s + lam > 0
+        w = np.divide(g, s + lam, out=np.zeros_like(g), where=seen)
+        norm = math.sqrt(w @ w)
+        if norm <= 1.1 * radius:
+            break
+        lam += (norm / radius - 1.0) * norm**2 / np.sum(w[seen] ** 2 / (s + lam)[seen])
+    return -(v @ w)
+
+
+def _levenberg_marquardt(residuals, jacobian, z0):
+    """Minimise |r(z)|^2 by trust-region Levenberg-Marquardt with unit scaling (More 1978).
+
+    residuals(z) returns (r, aux), and jacobian(z, aux) returns dr/dz at an accepted point,
+    or None where it cannot be taken.  A step is accepted only where it lowers |r|.  Returns
+    (z, r, n_evals, n_jacobians, stopped): stopped is True when a tolerance test ended the
+    search, False when the evaluation cap or a missing Jacobian did.
+    """
+    z = z0
+    r, aux = residuals(z)
+    cost, n_evals, n_jac = r @ r, 1, 0
+    radius = LM_RADIUS0 * (np.linalg.norm(z) or 1.0)
+    while True:
+        jac = jacobian(z, aux)
+        if jac is None:
+            return z, r, n_evals, n_jac, False
+        n_jac += 1
+        grad = jac.T @ r
+        if not grad.any():
+            return z, r, n_evals, n_jac, True
+        while True:  # trial steps from z, until one lowers the cost
+            step = _trust_region_step(jac, grad, radius)
+            r_new, aux_new = residuals(z + step)
+            n_evals += 1
+            jstep = jac @ step
+            predicted = -(2.0 * grad @ step + jstep @ jstep)
+            actual = cost - r_new @ r_new
+            ratio = actual / predicted if predicted > 0 else 0.0
+            step_norm = np.linalg.norm(step)
+            if ratio < 0.25:
+                radius = 0.25 * step_norm
+            elif ratio > 0.75:
+                radius = max(radius, 2.0 * step_norm)
+            stalled = abs(actual) <= LM_FTOL * cost and predicted <= LM_FTOL * cost
+            accepted = ratio > 1e-4
+            if accepted:
+                z, r, aux, cost = z + step, r_new, aux_new, r_new @ r_new
+            if (stalled and ratio <= 2.0) or radius <= LM_XTOL * np.linalg.norm(z):
+                return z, r, n_evals, n_jac, True
+            if n_evals >= LM_MAX_EVALS:
+                return z, r, n_evals, n_jac, False
+            if accepted:
+                break
 
 
 def calibrate(quotes: QuoteSet, initial, fix_structurals: bool = False) -> CalibResult:
-    """Fit (sigma, R2) by Nelder-Mead over z = (log sigma, log q), q = (1 - R2) sigma / sqrt(2).
+    """Fit (sigma, R2) over z = (log sigma, log q), q = (1 - R2) sigma / sqrt(2).
 
     q = (kappa + xi0^2) / xi0 > 0 covers every R2 that positive kappa, xi reach.  alpha and
     c = kappa / xi0^2 keep their start values: xi0 = q / (1 + c), kappa = c xi0^2,
     xi = xi0 sigma^(2(1-alpha)).  fix_structurals=True moves sigma alone (the static study).
-    Never raises on a flat search: returns the best point found with converged=False.
+
+    The search is trust-region Levenberg-Marquardt on the IV residual vector (_model_residuals)
+    with unit scaling in z and a first radius of LM_RADIUS0 |z0|.  Its Jacobian is the central
+    difference of the closed-form price in z over the Black-Scholes vega at the model IVs of the
+    same point, so each trial point costs one IV inversion.  A point the model cannot price
+    (R2 = 0, exp under- or overflow) has every residual 10 PENALTY_RESIDUAL and takes the vega
+    at the observed IVs.  n_evals counts residual evaluations and iterations Jacobians.
+    converged is True when a tolerance test stopped the search, not the evaluation cap or a
+    point where the Jacobian cannot be taken; the result is never worse than the start, since
+    only steps that lower the IVRMSE are accepted.
     """
+    _check_theta(initial, "initial theta")
     kappa0, xi0, alpha0, sigma0 = initial
-    if not (kappa0 > 0 and xi0 > 0 and sigma0 > 0 and alpha0 > 0):
-        raise InvalidParams(f"initial theta out of bounds: {initial}")
+    spot, strike, tau, var, obs_iv = quotes.arrays()
+    if obs_iv.size == 0:
+        raise EmptyQuoteSet("no usable quotes after implied-vol screening")
 
     if fix_structurals:
 
@@ -195,27 +265,40 @@ def calibrate(quotes: QuoteSet, initial, fix_structurals: bool = False) -> Calib
 
         z0 = np.array([math.log(sigma0), math.log((kappa0 + sym0**2) / sym0)])
 
-    values = []  # every objective value, in call order; Nelder-Mead starts at z0
+    unpriceable = (FloatingPointError, OverflowError, InvalidParams, DegenerateParams)
+    penalty = np.full(obs_iv.size, 10.0 * PENALTY_RESIDUAL)
 
-    def objective(z):
+    def residuals(z):
         try:
-            value = ivrmse(quotes, unpack(z))
-        except (FloatingPointError, OverflowError, InvalidParams, DegenerateParams):
-            value = 10.0 * PENALTY_RESIDUAL  # e.g. exp underflow to 0, or R2 = 0
-        values.append(value)
-        return value
+            theta = unpack(z)
+            _check_theta(theta, "theta")  # e.g. exp underflow to 0
+            return _model_residuals(quotes, theta)
+        except unpriceable:
+            return penalty, obs_iv
 
-    best, n_iter = _nelder_mead(objective, z0)
-    theta = unpack(best.x)
-    resid = _model_residuals(quotes, theta)
-    value = float(np.sqrt(np.mean(resid**2)))
-    converged = bool(best.success) and value <= values[0] + 1e-15
+    def jacobian(z, iv):
+        cols = []
+        for h in np.eye(z.size) * JAC_STEP:
+            try:
+                up, down = (
+                    pert_price_grid(spot, strike, tau, var, quotes.r, *unpack(z + sign * h))
+                    for sign in (1.0, -1.0)
+                )
+            except unpriceable:
+                return None
+            cols.append((up - down) / (2.0 * JAC_STEP))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            jac = np.column_stack(cols) / bs_vega(spot, strike, tau, quotes.r, iv)[:, None]
+        # a penalised quote's residual is flat: NaN IV, vega 0
+        return np.where(np.isfinite(jac), jac, 0.0)
+
+    z, resid, n_evals, n_jac, stopped = _levenberg_marquardt(residuals, jacobian, z0)
     return CalibResult(
-        theta_pert=theta,
-        ivrmse=value,
+        theta_pert=unpack(z),
+        ivrmse=float(np.sqrt(np.mean(resid**2))),
         n_quotes_used=resid.size,
-        iterations=n_iter,
-        converged=converged,
+        iterations=n_jac,
+        converged=stopped,
         residuals=resid,
-        n_evals=len(values),
+        n_evals=n_evals,
     )

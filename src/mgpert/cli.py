@@ -184,6 +184,8 @@ def cmd_oracle_check(ns) -> int:
     mg = _mg_from_ns(ns)
     pert = PerturbParams.from_mg(mg, ns.sigma, ns.v0)
     deriv = derive_params(mg, pert)
+    if ns.out:
+        _check_out_file(ns.out)
     qcfg = QuadratureConfig(half_width=ns.half_width, n_nodes=ns.nodes,
                             n_time=ns.time_nodes, fd_step=ns.fd_step,
                             rel_tol=ns.rel_tol)
@@ -234,6 +236,18 @@ def cmd_oracle_check(ns) -> int:
           f"annihilation_ratios=[{max_ratio[0]:.2e}, {max_ratio[1]:.2e}, "
           f"{max_ratio[2]:.2e}]")
     return EXIT_OK if n_fail == 0 else EXIT_CHECK_FAILURE
+
+
+def _check_out_file(path):
+    """Check the output file opens for writing, before a long run, and leave no new file."""
+    try:
+        existed = os.path.exists(path)
+        with open(path, "a", encoding="utf-8"):  # "a" keeps an existing file's content
+            pass
+        if not existed:
+            os.remove(path)
+    except OSError as exc:
+        raise InvalidParams(f"output file {path!r} not writable: {exc}") from exc
 
 
 def _make_out_dir(out_dir):

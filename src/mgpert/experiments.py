@@ -204,10 +204,6 @@ def run_timeseries_experiment(
     jobs = [(spec, mg, seed, path_id, sigma0) for path_id in range(spec.n_sample_paths)]
 
     if n_workers > 1:
-        # calibrate imports the optimizer lazily; loading it before the workers
-        # fork lets them share its pages rather than each import a copy
-        import scipy.optimize  # noqa: F401
-
         with concurrent.futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
             per_path = list(pool.map(_run_one_path, jobs))
     else:

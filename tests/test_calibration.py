@@ -222,6 +222,19 @@ class TestCalibrate:
         "panel": (lambda: panel_quotes([1, 0]), (2.0, 0.6, 0.8, 0.25),
                   0.004743168327165208, 0.28669520675930105),
     }
+    # Nelder-Mead's fits (fatol 1e-6, one restart), which the least-squares search replaced
+    FOUR_DIRECTION_FITS.update({
+        f"panel-{a}-{b}": (lambda s=[a, b]: panel_quotes(s), (2.0, 0.6, 0.8, 0.25), e, sg)
+        for (a, b), e, sg in [
+            ((1, 1), 0.004835153549398286, 0.28735368082034574),
+            ((2, 0), 0.004976503391589428, 0.2867550225228275),
+            ((2, 1), 0.00478095372495202, 0.2872270920432027),
+            ((3, 0), 0.00495751387660695, 0.2870350442349094),
+            ((3, 1), 0.00499401658881224, 0.28686558125263345),
+            ((4, 0), 0.005018864781302065, 0.2871371851204719),
+            ((4, 1), 0.004994751517158395, 0.2870243755968015),
+        ]
+    })
 
     @pytest.mark.parametrize("name", sorted(FOUR_DIRECTION_FITS))
     def test_no_worse_than_four_direction_fit(self, name):
@@ -246,12 +259,13 @@ class TestCalibrate:
 
     def test_n_evals_counts_objective_calls(self, monkeypatch):
         calls = []
+        residuals = calibration._model_residuals
 
         def counted(quotes, theta):
             calls.append(theta)
-            return ivrmse(quotes, theta)
+            return residuals(quotes, theta)
 
-        monkeypatch.setattr(calibration, "ivrmse", counted)
+        monkeypatch.setattr(calibration, "_model_residuals", counted)
         for fix in (False, True):
             calls.clear()
             result = calibrate(synthetic_quotes(THETA), (1.2, 1.2, 0.9, 0.25), fix)

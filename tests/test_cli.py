@@ -20,9 +20,26 @@ def run_cli(*args, timeout=300):
 
 
 def test_cli_import_leaves_optimizer_unloaded():
-    # scipy.optimize is imported on the first calibration, not at start-up
-    code = "import sys, mgpert.cli; print('scipy.optimize' in sys.modules)"
-    p = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    # calibrate carries its own least-squares search; scipy.optimize is never imported
+    code = """
+import math, sys
+import mgpert.cli
+from mgpert.calibration import Quote, QuoteSet, calibrate
+from mgpert.experiments import run_timeseries_experiment
+from mgpert.mc import McConfig, TimeSeriesSpec
+from mgpert.params import OptionSpec
+quotes = QuoteSet(quotes=[
+    Quote(opt=OptionSpec(spot=100.0, strike=k, tau_cal=30 / 365, variance=0.09), iv=0.29)
+    for k in (90.0, 100.0, 110.0)
+])
+assert math.isfinite(calibrate(quotes, (1.5, 1.5, 1.0, 0.25)).ivrmse)
+assert math.isfinite(calibrate(quotes, (1.5, 1.5, 1.0, 0.25), fix_structurals=True).ivrmse)
+spec = TimeSeriesSpec(n_sample_paths=2, n_obs=1, maturities=(30,), moneyness=(0.95, 1.0, 1.05),
+                      mc=McConfig(n_paths=1000, steps_per_day=1, n_strata=50))
+assert len(run_timeseries_experiment(1, spec=spec, n_workers=2).per_path) == 2
+print("scipy.optimize" in sys.modules)
+"""
+    p = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
     assert p.returncode == 0, p.stderr
     assert p.stdout.strip() == "False"
 
@@ -262,6 +279,23 @@ class TestInProcessValidation:
         argv = ["oracle-check", "--moneyness-points", "1", "--variance-points", "1"]
         assert cli.main(argv) == cli.EXIT_CHECK_FAILURE
         assert "FAIL: 1 points, max_abs_err=nan" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("out", ["missing/oracle.csv", "."])
+    def test_oracle_check_unopenable_out_exits_before_work(self, out, tmp_path, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("computed the grid before opening --out")
+
+        monkeypatch.setattr(cli, "psi1_quadrature", no_quadrature)
+        argv = ["oracle-check", "--moneyness-points", "1", "--variance-points", "1",
+                "--out", str(tmp_path / out)]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        assert not (tmp_path / "missing").exists()
+
+    def test_oracle_check_rejected_grid_leaves_no_out_file(self, tmp_path):
+        out = tmp_path / "oracle.csv"
+        argv = ["oracle-check", "--moneyness-min=nan", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag", [["--paths", "2000"], ["--sample-paths", "2"],
                                       ["--obs", "1"]])
