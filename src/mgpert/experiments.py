@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import bs_price, implied_vol_array
+from .analytic import _scipy_ndtr, bs_price, implied_vol_array
 from .calibration import Quote, QuoteSet, calibrate, pert_price_grid
 from .errors import InvalidParams
 from .mc import (
@@ -204,6 +204,9 @@ def run_timeseries_experiment(
     jobs = [(spec, mg, seed, path_id, sigma0) for path_id in range(spec.n_sample_paths)]
 
     if n_workers > 1:
+        # load scipy's array Phi before the workers fork, so they share its
+        # pages instead of each importing scipy.special in its first round
+        _scipy_ndtr()
         with concurrent.futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
             per_path = list(pool.map(_run_one_path, jobs))
     else:

@@ -36,9 +36,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtr
 
-from .analytic import correction_kernel
+from .analytic import correction_kernel, normal_cdf
 from .errors import InvalidParams, QuadratureNotConverged
 from .params import DerivedParams, HeatCoords, MgParams, PerturbParams, tilt
 
@@ -102,8 +101,8 @@ def psi0_grid(x, y, tau, deriv: DerivedParams):
         d2 = x / s + 0.5 * s * (r1 - 1.0)
     pref = np.exp(0.5 * (r2 - 1.0) * (0.5 * tau * (r2 - 1.0) + y))
     interior = pref * (
-        np.exp(0.5 * (r1 + 1.0) * x + 0.25 * (r1 + 1.0) ** 2 * tau) * ndtr(d1)
-        - np.exp(0.5 * (r1 - 1.0) * x + 0.25 * (r1 - 1.0) ** 2 * tau) * ndtr(d2)
+        np.exp(0.5 * (r1 + 1.0) * x + 0.25 * (r1 + 1.0) ** 2 * tau) * normal_cdf(d1)
+        - np.exp(0.5 * (r1 - 1.0) * x + 0.25 * (r1 - 1.0) ** 2 * tau) * normal_cdf(d2)
     )
     boundary = np.exp(0.5 * (r2 - 1.0) * y) * np.maximum(
         np.exp(0.5 * (r1 + 1.0) * x) - np.exp(0.5 * (r1 - 1.0) * x), 0.0

@@ -16,7 +16,9 @@ shock.
 
 All draws come from a counter-based Philox generator so a fixed (seed,
 config) pair reproduces bit-identical results regardless of how callers
-parallelize around this module.
+parallelize around this module.  The stratified first step's inverse
+normal CDF, scipy.special.ndtri, is imported on first use, so importing
+this module does not import scipy.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .analytic import bs_price
 from .errors import InvalidParams
@@ -180,6 +181,8 @@ def _stratified_normals(rng, n_strata, out):
     rng.random(out=out)
     out += np.repeat(np.arange(n_strata, dtype=float), out.size // n_strata)
     out /= n_strata
+    from scipy.special import ndtri
+
     return ndtri(out, out=out)
 
 

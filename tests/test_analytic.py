@@ -44,6 +44,39 @@ class TestNormalCdf:
     def test_symmetry(self, z):
         assert normal_cdf(z) + normal_cdf(-z) == pytest.approx(1.0, abs=1e-14)
 
+    def test_scalar_port_is_bit_identical_to_scipy(self):
+        from scipy.special import ndtr
+
+        rng = np.random.default_rng(20)
+        # Cephes switches branch at |a| = 1, sqrt 2 and 8 sqrt 2, and exp(-a^2/2)
+        # underflows past sqrt(2 MAXLOG); sample each edge ulp by ulp and nearby
+        edges = [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * analytic._MAXLOG)]
+        near = [
+            np.concatenate([
+                e + np.arange(-2000, 2001) * math.ulp(e),
+                e * (1.0 + rng.uniform(-1e-6, 1e-6, 4000)),
+                e + rng.uniform(-0.05, 0.05, 4000),
+            ])
+            for e in edges
+        ]
+        special = [0.0, math.inf, math.nan, 1e-300, 5e-324, 1.7976931348623157e308]
+        a = np.concatenate([rng.uniform(-40.0, 40.0, 100_000), rng.normal(0.0, 3.0, 100_000),
+                            *near, special])
+        a = np.concatenate([a, -a])
+        ours = np.array([analytic._ndtr_float(v) for v in a.tolist()])
+        ref = ndtr(a)
+        same = (ours.view(np.int64) == ref.view(np.int64)) | (np.isnan(ours) & np.isnan(ref))
+        assert a.size > 200_000 and same.all(), a[~same][:10]
+
+    @pytest.mark.parametrize("shape", [(), (1,), (2,), (2, 1), (0,), (3,), (2, 3)])
+    def test_paths_match_scipy_in_type_and_bits(self, shape):
+        from scipy.special import ndtr
+
+        d = np.linspace(-9.0, 9.0, math.prod(shape)).reshape(shape)
+        ours, ref = normal_cdf(d), ndtr(d)
+        assert type(ours) is type(ref) and np.shape(ours) == shape
+        assert np.asarray(ours).tobytes() == np.asarray(ref).tobytes()
+
 
 class TestBsPrice:
     @given(

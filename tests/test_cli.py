@@ -39,9 +39,58 @@ spec = TimeSeriesSpec(n_sample_paths=2, n_obs=1, maturities=(30,), moneyness=(0.
 assert len(run_timeseries_experiment(1, spec=spec, n_workers=2).per_path) == 2
 print("scipy.optimize" in sys.modules)
 """
+    assert _run_python(code) == "False"
+
+
+def _run_python(code):
+    """Run code in a fresh interpreter; return the last line it printed."""
     p = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
     assert p.returncode == 0, p.stderr
-    assert p.stdout.strip() == "False"
+    return p.stdout.strip().splitlines()[-1]
+
+
+def test_scalar_pricing_leaves_scipy_unloaded():
+    # a contract is priced by analytic's pure-Python Phi; scipy.special's array
+    # Phi is imported by the first call with more than 2 elements
+    code = """
+import sys
+import mgpert, mgpert.cli
+for argv in (["--kind", "call"], ["--kind", "put", "--strike", "120"], ["--days", "0"]):
+    assert mgpert.cli.main(["price", *argv]) == 0
+before = "scipy" in sys.modules or "scipy.special" in sys.modules
+import numpy as np
+from mgpert.analytic import bs_price
+strikes, sigmas = np.array([80.0, 100.0, 130.0]), np.array([0.1, 0.2, 0.7])
+prices = bs_price(100.0, strikes, 0.5, 0.02, sigmas)
+loaded = "scipy.special" in sys.modules
+from scipy.special import ndtr
+stt = sigmas * np.sqrt(0.5)
+d1 = (np.log(100.0 / strikes) + (0.02 + 0.5 * sigmas**2) * 0.5) / stt
+ref = 100.0 * ndtr(d1) - strikes * np.exp(-0.02 * 0.5) * ndtr(d1 - stt)
+print(before, loaded, prices.tobytes() == ref.tobytes())
+"""
+    assert _run_python(code) == "False True True"
+
+
+def test_timeseries_pool_inherits_scipy_special():
+    # the parent loads the array Phi before the workers fork, so they share
+    # its pages instead of each importing scipy.special in its first round
+    code = """
+import concurrent.futures, sys
+from mgpert.experiments import run_timeseries_experiment
+from mgpert.mc import McConfig, TimeSeriesSpec
+loaded = ["scipy.special" in sys.modules]
+class Pool(concurrent.futures.ProcessPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        loaded.append("scipy.special" in sys.modules)
+        super().__init__(*args, **kwargs)
+concurrent.futures.ProcessPoolExecutor = Pool
+spec = TimeSeriesSpec(n_sample_paths=2, n_obs=1, maturities=(30,), moneyness=(0.95, 1.0, 1.05),
+                      mc=McConfig(n_paths=1000, steps_per_day=1, n_strata=50))
+assert len(run_timeseries_experiment(1, spec=spec, n_workers=2).per_path) == 2
+print(loaded)
+"""
+    assert _run_python(code) == "[False, True]"
 
 
 class TestPriceCommand:

@@ -9,17 +9,23 @@ Levenberg-Marquardt, which changed its sigma_hat and ivrmse in their last
 digits.  They hold for this platform's numpy and libm,
 which is what the determinism promise covers.  The pert_price_grid and
 implied_vol_array hashes were recorded before the three copies of the
-correction and the two implied-vol loops were merged into one each.
+correction and the two implied-vol loops were merged into one each.  The
+scalar book's hash was recorded while every Phi still came from
+scipy.special.ndtr, before scalars moved to analytic's pure-Python port.
 """
 
+import contextlib
 import hashlib
+import io
 import math
 
 import numpy as np
 import pytest
 
-from mgpert.analytic import IV_MIN, bs_price, implied_vol_array
+from mgpert import cli
+from mgpert.analytic import IV_MIN, _price_bracket, bs_price, implied_vol, implied_vol_array, price_mg
 from mgpert.calibration import pert_price_grid
+from mgpert.errors import NoConvergence, OutOfBounds
 from mgpert.experiments import STATIC_MG, run_static_experiment, write_static_report
 from mgpert.mc import (
     DAYS_PER_YEAR,
@@ -31,7 +37,7 @@ from mgpert.mc import (
     step_euler,
     write_panel_csv,
 )
-from mgpert.params import MgParams
+from mgpert.params import MgParams, OptionSpec, PerturbParams
 
 DT = 1.0 / (DAYS_PER_YEAR * 10)
 
@@ -182,4 +188,50 @@ def test_implied_vol_array_golden():
     assert np.isnan(out).any() and (out == IV_MIN).any() and np.isfinite(out).mean() > 0.5
     assert _sha(out.tobytes()) == (
         "6f2036f1c2717bb1f78af94bdf32b3df0c9d1dc3d8ef822aa49ce4e8c456bfef"
+    )
+
+
+def _scalar_iv(price, opt, r):
+    """implied_vol, with -1 for OutOfBounds and -2 for NoConvergence."""
+    try:
+        return implied_vol(price, opt, r)
+    except OutOfBounds:
+        return -1.0
+    except NoConvergence:
+        return -2.0
+
+
+def test_scalar_pricing_golden():
+    # 2000 seeded contracts through the scalar API: price_mg's breakdown, the
+    # implied vol of its total and of the no-arbitrage floor (which clamps to
+    # IV_MIN), plus tau = 0 contracts and the CLI's `price` JSON
+    rng = np.random.default_rng(13)
+    models = [
+        (MgParams(kappa=1.5, theta=0.08, xi=1.5, rho=-0.5, alpha=1.0, r=0.0), 0.2),
+        (MgParams(kappa=4.4, theta=0.018, xi=0.5, rho=-0.9, alpha=1.0, r=0.03), 0.3),
+        (MgParams(kappa=1.1768, theta=0.0823, xi=0.3, rho=-0.5459, alpha=0.5, r=0.01), 0.25),
+    ]
+    n = 2000
+    days = np.where(np.arange(n) % 50 == 0, 0.0, rng.uniform(1.0, 730.0, n))
+    strikes = rng.uniform(50.0, 200.0, n)
+    variances = np.exp(rng.uniform(math.log(0.001), math.log(0.6), n))
+    out = []
+    for i in range(n):
+        mg, sigma = models[i % len(models)]
+        opt = OptionSpec(spot=100.0, strike=float(strikes[i]), tau_cal=float(days[i]) / DAYS_PER_YEAR,
+                         kind=("call", "put")[i % 2], variance=float(variances[i]))
+        b = price_mg(opt, mg, PerturbParams.from_mg(mg, sigma))
+        floor, _ = _price_bracket(opt.spot, opt.strike, opt.tau_cal, mg.r, opt.kind)
+        out += [b.c0, b.c1, b.total, b.d1, b.d2, _scalar_iv(b.total, opt, mg.r),
+                _scalar_iv(float(floor), opt, mg.r)]
+    out = np.array(out)
+    assert (out == IV_MIN).sum() >= n // 2 and (out == -1.0).any()
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        for argv in (["--kind", "call", "--strike", "95", "--variance", "0.09"],
+                     ["--kind", "put", "--strike", "120", "--days", "365", "--rate", "0.02"],
+                     ["--kind", "call", "--strike", "80", "--days", "7", "--sigma", "0.3"]):
+            assert cli.main(["price", *argv]) == 0
+    assert _sha(out.tobytes() + stdout.getvalue().encode()) == (
+        "ddf57394517bd30463eb58473e8fbab74e0490b3be7c5232a4bf80412871f125"
     )
