@@ -181,6 +181,14 @@ def cmd_oracle_check(ns) -> int:
         # an empty grid would pass with nothing checked
         if value < 1:
             raise InvalidParams(f"{flag} must be >= 1, got {value}")
+    for flag, value in (("--moneyness-min", ns.moneyness_min),
+                        ("--moneyness-max", ns.moneyness_max),
+                        ("--variance-min", ns.variance_min),
+                        ("--variance-max", ns.variance_max)):
+        # np.linspace warns on an infinite end, and every strike and variance
+        # on the grid must be positive
+        if not 0.0 < value < math.inf:
+            raise InvalidParams(f"{flag} must be finite and > 0, got {value}")
     mg = _mg_from_ns(ns)
     pert = PerturbParams.from_mg(mg, ns.sigma, ns.v0)
     deriv = derive_params(mg, pert)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .analytic import bs_price
 from .errors import InvalidParams
-from .params import MgParams, OptionSpec, _require_finite
+from .params import MgParams, OptionSpec, _require_finite, check_kind
 
 DAYS_PER_YEAR = 365.0
 #: paths per bs_price call when pricing from the conditional engine
@@ -399,8 +399,10 @@ def price_surface_mc(
     there).  A path's payoff is its undiscounted Black price at (F, W), a
     put by parity on that path (call - F + K).  bs_price runs on
     PRICE_CHUNK paths at a time, so its temporaries stay small whatever
-    the path count.
+    the path count.  Raises InvalidParams unless kind is "call" or "put",
+    before any path is simulated.
     """
+    check_kind(kind)
     maturities_days = list(maturities_days)
     strikes = list(strikes)
     steps = [maturity_step_count(m / DAYS_PER_YEAR, cfg.steps_per_day) for m in maturities_days]

@@ -22,6 +22,12 @@ EPS_DEGENERATE = 1e-10
 DEFAULT_V0 = 1.0
 
 
+def check_kind(kind) -> None:
+    """The pricers read any kind but "call" as a put, so reject the rest first."""
+    if kind not in ("call", "put"):
+        raise InvalidParams(f"kind must be 'call' or 'put', got {kind!r}")
+
+
 def _require_finite(obj, *names):
     """NaN and infinities pass every ordering check, so reject them first."""
     for name in names:
@@ -176,8 +182,7 @@ class OptionSpec:
             raise InvalidParams(f"tau_cal must be >= 0, got {self.tau_cal}")
         if self.variance < 0:
             raise InvalidParams(f"variance must be >= 0, got {self.variance}")
-        if self.kind not in ("call", "put"):
-            raise InvalidParams(f"kind must be 'call' or 'put', got {self.kind!r}")
+        check_kind(self.kind)
 
     @property
     def is_call(self) -> bool:

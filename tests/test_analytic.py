@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mgpert import analytic
 from mgpert.analytic import (
@@ -16,7 +16,7 @@ from mgpert.analytic import (
     price_mg,
     price_symmetric,
 )
-from mgpert.errors import NoConvergence, OutOfBounds
+from mgpert.errors import InvalidParams, NoConvergence, OutOfBounds
 from mgpert.params import MgParams, OptionSpec, PerturbParams, derive_params
 
 
@@ -114,6 +114,12 @@ class TestBsPrice:
         vec = bs_price(100.0, strikes, 0.25, 0.01, 0.2, "call")
         for k, v in zip(strikes, vec):
             assert v == pytest.approx(bs_price(100.0, k, 0.25, 0.01, 0.2, "call"))
+
+    @pytest.mark.parametrize("strike", [90.0, np.array([90.0]), np.array([80.0, 90.0, 100.0])])
+    def test_unknown_kind_raises(self, strike):
+        # any kind but "call" used to price a put
+        with pytest.raises(InvalidParams, match="kind"):
+            bs_price(100.0, strike, 1.0, 0.0, 0.2, "Call")
 
     def test_vega_is_price_derivative(self):
         h = 1e-6
@@ -255,6 +261,9 @@ class TestImpliedVol:
         st.sampled_from(["call", "put"]),
     )
     @settings(max_examples=200)
+    # 0-d d1**2 was C pow, the array's a product, and this inverted a last bit apart
+    @example(124.63975178892187, 0.802332418584674, 0.016505034590351398,
+             45.480285742594226, "call")
     def test_scalar_is_one_element_array(self, k, tau, r, price, kind):
         opt = OptionSpec(spot=100.0, strike=k, tau_cal=tau, kind=kind)
         got = implied_vol_array(np.array([price]), 100.0, np.array([k]), tau, r, kind)
@@ -273,7 +282,103 @@ class TestImpliedVol:
         with pytest.raises(NoConvergence):
             implied_vol(99.99, opt, 0.0)  # needs sigma > IV_MAX
 
+    @pytest.mark.parametrize("price", [13.26, np.array([13.26]), np.array([13.26, 9.0, 20.0])])
+    def test_unknown_kind_raises(self, price):
+        with pytest.raises(InvalidParams, match="kind"):
+            implied_vol_array(price, 100.0, 90.0, 1.0, 0.0, "CALL")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("shape", [(), (1,), (3,)])
+    def test_newton_step_overflow_is_silent(self, shape):
+        # diff / vega overflowed to inf here and warned
+        price, strike, tau = 2.4037405557705447e-08, 54.7998817594233, 1 / 365
+        got = implied_vol_array(np.full(shape, price), 100.0, np.full(shape, strike), tau, 0.0,
+                                "put")
+        assert np.isfinite(got).all()
+        opt = OptionSpec(spot=100.0, strike=strike, tau_cal=tau, kind="put")
+        assert implied_vol(price, opt, 0.0) == got.flat[0]
+
     def test_put_inversion(self):
         opt = OptionSpec(spot=100.0, strike=110.0, tau_cal=0.5, kind="put")
         price = bs_price(100.0, 110.0, 0.5, 0.02, 0.4, "put")
         assert implied_vol(price, opt, 0.02) == pytest.approx(0.4, abs=1e-7)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestScalarPaths:
+    """Finite 0-d input takes the float paths of bs_price and implied_vol_array;
+    one- and three-element arrays take the numpy paths.  They give the same bits."""
+
+    N_GROUPS = 7000  # of three contracts sharing tau, r and kind: one array call each
+
+    @classmethod
+    def _book(cls):
+        rng = np.random.default_rng(1407)
+        n = cls.N_GROUPS
+        tau = rng.uniform(1 / 365, 3.0, n)
+        tau[::50], tau[1::50] = 1e-6, 0.0
+        r = np.where(rng.random(n) < 0.25, 0.0, rng.uniform(-0.02, 0.08, n))
+        kinds = [str(k) for k in rng.choice(["call", "put"], n)]
+        strikes = rng.uniform(40.0, 250.0, (n, 3))
+        sigma = rng.uniform(0.01, 2.0, (n, 3))
+        scale = 1.0 + rng.uniform(-0.1, 0.1, (n, 3))
+        prices = np.empty((n, 3))
+        for g in range(n):
+            prices[g] = bs_price(100.0, strikes[g], tau[g], r[g], sigma[g], kinds[g]) * scale[g]
+            if g % 7 == 0:
+                # exactly at the no-arbitrage floor, which clamps to IV_MIN
+                prices[g, 1] = analytic._price_bracket(
+                    100.0, strikes[g, 1], tau[g], r[g], kinds[g])[0]
+        prices[::11, 2] = np.nan
+        return tau.tolist(), r.tolist(), kinds, strikes, sigma, prices
+
+    def test_float_and_numpy_paths_give_the_same_bits(self):
+        tau, r, kinds, strikes, sigma, prices = self._book()
+        assert strikes.size >= 20_000
+        bad = []
+        for g, (t, rate, kind) in enumerate(zip(tau, r, kinds)):
+            bs3 = bs_price(100.0, strikes[g], t, rate, sigma[g], kind)
+            iv3 = implied_vol_array(prices[g], 100.0, strikes[g], t, rate, kind)
+            for j in range(3):
+                k, s, p = (float(a[g, j]) for a in (strikes, sigma, prices))
+                bs0 = bs_price(100.0, k, t, rate, s, kind)
+                bs1 = bs_price(100.0, np.array([k]), t, rate, np.array([s]), kind)
+                iv0 = implied_vol_array(p, 100.0, k, t, rate, kind)
+                iv1 = implied_vol_array(np.array([p]), 100.0, np.array([k]), t, rate, kind)
+                assert type(bs0) is float and bs1.shape == (1,)
+                assert type(iv0) is np.ndarray and iv0.shape == () and iv0.dtype == float
+                if not (_bits(bs0) == _bits(bs1[0]) == _bits(bs3[j])
+                        and _bits(iv0) == _bits(iv1[0]) == _bits(iv3[j])):
+                    bad.append((k, t, rate, s, p, kind))
+        assert not bad, (len(bad), bad[:5])
+
+    @pytest.mark.parametrize("wrap", [np.float64, np.array])
+    def test_numpy_scalars_take_the_float_path(self, wrap, monkeypatch):
+        monkeypatch.setattr(analytic, "normal_cdf", _no_array_cdf)
+        args = (100.0, 105.0, 0.25, 0.01)
+        price = bs_price(*map(wrap, args), wrap(0.3), "put")
+        assert type(price) is float
+        assert price == bs_price(*args, 0.3, "put")
+        iv = implied_vol_array(wrap(price), *map(wrap, args), "put")
+        assert iv.shape == () and _bits(iv) == _bits(implied_vol_array(price, *args, "put"))
+
+    @pytest.mark.parametrize("shape", [(), (1,), (3,)])
+    def test_bracket_overflow_raises_on_both_paths(self, shape):
+        # the no-arbitrage bracket's math.exp is shared; unknown kinds are
+        # checked on all three shapes in TestBsPrice and TestImpliedVol
+        with pytest.raises(OverflowError):
+            implied_vol_array(np.full(shape, 13.0), 100.0, 90.0, 1.0, -1000.0)
+
+    def test_scalar_pricing_stays_off_the_array_cdf(self, monkeypatch, scn_mg, scn_pert):
+        monkeypatch.setattr(analytic, "normal_cdf", _no_array_cdf)
+        for kind in ("call", "put"):
+            opt = OptionSpec(spot=100.0, strike=105.0, tau_cal=0.25, kind=kind, variance=0.04)
+            bd = price_mg(opt, scn_mg, scn_pert)
+            assert 0.0 < implied_vol(bd.total, opt, scn_mg.r) < analytic.IV_MAX
+
+
+def _no_array_cdf(d):
+    raise AssertionError("a scalar was priced through normal_cdf")

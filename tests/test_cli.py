@@ -317,6 +317,15 @@ class TestInProcessValidation:
         # --rel-tol, --half-width, --rel-pass and --abs-pass used to disable checks
         assert cli.main(["oracle-check", f"{flag}={value}"]) == cli.EXIT_VALIDATION
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "-0.5"])
+    @pytest.mark.parametrize("flag", ["--moneyness-min", "--moneyness-max",
+                                      "--variance-min", "--variance-max"])
+    def test_oracle_check_grid_bounds_name_the_flag(self, flag, value, capsys):
+        # checked before np.linspace, which warned and left a NaN strike to reject
+        assert cli.main(["oracle-check", f"{flag}={value}"]) == cli.EXIT_VALIDATION
+        assert f"error: {flag} must be finite and > 0, got" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--rel-pass=-1", "--abs-pass=-1",
                                       "--moneyness-points=0", "--variance-points=-1"])
     def test_oracle_check_rejects_out_of_domain(self, flag):

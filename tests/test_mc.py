@@ -5,7 +5,7 @@ import pytest
 
 from mgpert.analytic import bs_price
 from mgpert.calibration import calibrate
-from mgpert import experiments
+from mgpert import experiments, mc
 from mgpert.errors import InvalidParams
 from mgpert.experiments import (
     DATASETS,
@@ -227,6 +227,15 @@ class TestSurface:
         got = [surf[(30.0, k)].estimate for k in strikes]
         ref = bs_price(100.0, np.array(strikes), 30 / 365, 0.0, math.sqrt(FLAT_MG.theta), kind)
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+    def test_unknown_kind_raises_before_simulating(self, monkeypatch):
+        # any kind but "call" used to price puts
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before checking kind")
+
+        monkeypatch.setattr(mc, "simulate_terminal", no_simulation)
+        with pytest.raises(InvalidParams, match="kind"):
+            price_surface_mc(100.0, 0.04, [30.0], [100.0], FLAT_MG, McConfig(n_paths=100), "Call")
 
     def test_repeated_step_counts_give_equal_rows(self):
         # maturities that round to one step count, the last one and 0 included
