@@ -241,12 +241,16 @@ def bs_vega(spot, strike, tau, r, sigma):
 
 
 def d1_d2(opt: OptionSpec, sigma: float, r: float) -> tuple[float, float]:
-    """Black-Scholes arguments; (inf, inf) signs at tau = 0 by moneyness."""
+    """Black-Scholes arguments; (inf, inf) signs at tau = 0 by moneyness.
+
+    d1 is _bs_float's, the one that prices C0: numpy's log, sigma * sigma.
+    """
     stt = sigma * math.sqrt(opt.tau_cal)
     if stt == 0.0:
         s = math.inf if opt.spot >= opt.strike else -math.inf
         return s, s
-    d1 = (math.log(opt.spot / opt.strike) + (r + 0.5 * sigma**2) * opt.tau_cal) / stt
+    log_m = float(np.log(opt.spot / opt.strike))
+    d1 = (log_m + (r + 0.5 * (sigma * sigma)) * opt.tau_cal) / stt
     return d1, d1 - stt
 
 
@@ -266,11 +270,12 @@ def correction_kernel(x, tau, variance, sigma, r2, r, log_strike=0.0):
     # [()] makes 0-d input numpy scalars, whose arithmetic is several times cheaper
     x, tau, variance = (np.asarray(a, dtype=float)[()] for a in (x, tau, variance))
     sigma2 = sigma**2
+    # squares of x and tau as products: on 0-d input x**2 is C pow, not x*x
     with np.errstate(divide="ignore", invalid="ignore"):
         log_mag = (
             log_strike
             + (0.5 - r / sigma2) * x
-            - (4.0 * x**2 + (2.0 * r + sigma2) ** 2 * tau**2) / (8.0 * sigma2 * tau)
+            - (4.0 * (x * x) + (2.0 * r + sigma2) ** 2 * (tau * tau)) / (8.0 * sigma2 * tau)
             - np.log(2.0 * math.sqrt(2.0 * math.pi) * np.abs(r2) * np.sqrt(sigma2 * tau))
         )
         bracket = -0.5 * sigma2**2 * r2 * tau + variance * np.expm1(0.5 * sigma2 * r2 * tau)

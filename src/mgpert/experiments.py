@@ -1,11 +1,12 @@
 """Experiment drivers: static cross-section and simulated time series.
 
-The static exercise simulates a Monte Carlo surface per initial-volatility
-scenario and fits only sigma (structural parameters pinned at the
-simulation truth).  The time-series exercise generates the weekly panel,
-fits (sigma, R2) per sample path with the true latent variance passed
-through, reports (kappa, xi, alpha, sigma) under calibrate's convention,
-and gives parameter and error summary statistics.
+The static exercise prices a Monte Carlo surface per initial-volatility
+scenario, all scenarios simulated on one draw stream, and fits only sigma
+(structural parameters pinned at the simulation truth).  The time-series
+exercise generates the weekly panel, fits (sigma, R2) per sample path with
+the true latent variance passed through, reports (kappa, xi, alpha, sigma)
+under calibrate's convention, and gives parameter and error summary
+statistics.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .mc import (
     TimeSeriesSpec,
     generate_time_series,
     price_surface_mc,
+    simulate_surface,
 )
 from .params import MgParams, OptionSpec
 
@@ -82,7 +84,9 @@ def run_static_experiment(
     """Simulate, calibrate sigma, and report one row per volatility scenario.
 
     v_grid entries are initial volatilities; the simulation starts the
-    variance process at v^2.
+    variance process at v^2.  The scenarios are simulated in one call, on
+    one draw stream, and each is priced from its own paths: the same bits
+    as a simulation per scenario, which would draw the same normals again.
     """
     if not 0.0 < maturity_days < math.inf:
         raise InvalidParams(f"maturity_days must be finite and > 0, got {maturity_days}")
@@ -90,9 +94,12 @@ def run_static_experiment(
     tau = maturity_days / DAYS_PER_YEAR
     strikes = [m * spot for m in strike_grid]
     rows, curves, results = [], [], []
-    for v_init in v_grid:
-        variance0 = v_init**2
-        surface = price_surface_mc(spot, variance0, [maturity_days], strikes, mg, mc_cfg)
+    starts = [v_init**2 for v_init in v_grid]
+    paths = simulate_surface(spot, starts, [maturity_days], mg, mc_cfg)
+    for v_init, variance0, *scenario_paths in zip(v_grid, starts, *paths):
+        surface = price_surface_mc(
+            spot, variance0, [maturity_days], strikes, mg, mc_cfg, paths=scenario_paths
+        )
         mc_prices = np.array([surface[(maturity_days, k)].estimate for k in strikes])
         quotes = QuoteSet(
             quotes=[

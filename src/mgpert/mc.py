@@ -9,7 +9,10 @@ shock.
   Given one variance path, log S_T is Gaussian, so a path contributes the
   Black price at its conditional forward and total variance (the mixing
   estimator).  price_surface_mc and generate_time_series price with it, so
-  both experiments do.
+  both experiments do.  It advances one initial variance or several on one
+  draw stream: the static experiment simulates all its scenarios in one
+  call, drawing each step's normals once (common random numbers), and each
+  scenario gets the bits a call of its own would give.
 - simulate_euler, the Euler reference, simulates (S, V) jointly.
   price_option_mc and `mgpert mc-price` use it, and the tests check the
   conditional engine against it.
@@ -36,6 +39,8 @@ from .params import MgParams, OptionSpec, _require_finite, check_kind
 DAYS_PER_YEAR = 365.0
 #: paths per bs_price call when pricing from the conditional engine
 PRICE_CHUNK = 8192
+#: base paths per chunk of simulate_terminal's step (one chunk at 10^4 paths)
+STEP_CHUNK = 8192
 
 
 def _philox(*words):
@@ -156,13 +161,15 @@ def step_euler(s, v, dt, z_s, z_v, mg: MgParams, work=None):
         np.add(s, b, out=s)
     np.add(s, a, out=s)
 
-    _advance_variance(v, v_plus, dt, z_v, mg, a)
+    _variance_drift_and_shock(v, v_plus, dt, z_v, mg, a)
+    np.add(v, a, out=v)
     return s, v
 
 
-def _advance_variance(v, v_plus, dt, z_v, mg: MgParams, a):
-    """The variance half of step_euler, in place: v becomes V', a is
-    scratch, and v_plus (V+ on entry) is overwritten when alpha != 1."""
+def _variance_drift_and_shock(v, v_plus, dt, z_v, mg: MgParams, a):
+    """The variance half of step_euler up to its last add, in place: v
+    gains the drift, a becomes the shock term ((xi V+^alpha) sqrt(dt)) z_v,
+    and v_plus (V+ on entry) is overwritten when alpha != 1."""
     np.subtract(mg.theta, v_plus, out=a)
     np.multiply(mg.kappa, a, out=a)
     np.multiply(a, dt, out=a)
@@ -172,14 +179,14 @@ def _advance_variance(v, v_plus, dt, z_v, mg: MgParams, a):
     np.multiply(mg.xi, v_plus, out=a)
     np.multiply(a, math.sqrt(dt), out=a)
     np.multiply(a, z_v, out=a)
-    np.add(v, a, out=v)
 
 
 def _stratified_normals(rng, n_strata, out):
     """Fill out with standard normals, len(out) // n_strata from each
     equiprobable stratum of the uniform, stratum by stratum."""
     rng.random(out=out)
-    out += np.repeat(np.arange(n_strata, dtype=float), out.size // n_strata)
+    strata = out.reshape(n_strata, -1)  # a view: the offsets are added in place
+    strata += np.arange(n_strata, dtype=float)[:, None]
     out /= n_strata
     from scipy.special import ndtri
 
@@ -217,7 +224,7 @@ def _step_shocks(rng, n, rho, out=None):
 
 def simulate_terminal(
     spot: float,
-    variance: float,
+    variance,
     mg: MgParams,
     cfg: McConfig,
     maturity_steps,
@@ -235,58 +242,101 @@ def simulate_terminal(
     total variance W = (1 - rho^2) I.  A payoff's conditional mean is then
     a Black formula in (F, W), exact in S; only V is discretised.
 
-    Each step draws one normal per base path (stratified on the first step)
-    and mirrors it for the antithetic half.  The sums are kept as sum V+
-    and sum sqrt(V+) z_v and scaled by dt and sqrt(dt) at the snapshots.
-    Every buffer is allocated once per call, the sums included: they live
-    in the output rows of the last step.
+    variance is one initial variance or a 1-D sequence of them.  For a
+    sequence the outputs gain a leading axis, one entry per variance, and
+    all variances advance on the same draws (common random numbers): each
+    step's normals are drawn once.  Each entry is bit-identical to a call
+    with that variance alone; a float is a sequence of one in the same loop.
+
+    Each step draws one normal per base path (stratified on the first
+    step).  The antithetic half is not mirrored into a second draw array:
+    it keeps J negated, so both halves add sqrt(V+) z, its V update
+    subtracts the shock term and its snapshot scales J by -rho sqrt(dt).
+    IEEE negation is exact and x + (-y) = x - y, so this gives the mirror's
+    bits.  The sums are kept as sum V+ and sum sqrt(V+) z and scaled by dt
+    and sqrt(dt) at the snapshots.  Memory: per variance the state V and
+    the sums, which live in the output rows of the last step; shared by
+    all variances, the draws and two scratch arrays of STEP_CHUNK base
+    paths, since the step runs chunk by chunk along the path axis.
     """
     if rng is None:
         rng = _philox(cfg.seed)
+    start = np.asarray(variance, dtype=float)
+    if start.ndim > 1:
+        raise InvalidParams(f"variance must be a float or a 1-D sequence, got shape {start.shape}")
     maturity_steps = list(maturity_steps)
     n_steps = max(maturity_steps)
     n = cfg.n_base
-    m = n * 2 if cfg.antithetic else n
+    halves = 2 if cfg.antithetic else 1
     rho = mg.rho
+    snap_at = {}  # step count -> every row that asks for it
+    for i, step in enumerate(maturity_steps):
+        snap_at.setdefault(step, []).append(i)
 
-    v = np.full(m, float(variance))
-    v_plus, a, z = np.empty(m), np.empty(m), np.empty(m)
-    forwards = np.empty((len(maturity_steps), m))
-    variances = np.empty((len(maturity_steps), m))
+    # axes (variance, row, half, base path): each half of a row is contiguous
+    v = np.empty((start.size, halves, n))
+    v[...] = start.reshape(-1, 1, 1)
+    forwards = np.empty((start.size, len(maturity_steps), halves, n))
+    variances = np.empty_like(forwards)
     # the sums accumulate in the first row that snapshots the last step,
     # which is written last and in place
-    last = maturity_steps.index(n_steps)
-    sum_root, sum_v = forwards[last], variances[last]
+    last = snap_at[n_steps][0]
+    sum_root, sum_v = forwards[:, last], variances[:, last]
     sum_root.fill(0.0)
     sum_v.fill(0.0)
+    z = np.empty(n)
+    width = min(n, STEP_CHUNK)
+    v_plus, a = np.empty((halves, width)), np.empty((halves, width))
+    # J's factor per half: the antithetic half's J is stored negated
+    root_scale = np.array([[rho * math.sqrt(dt)], [-(rho * math.sqrt(dt))]])[:halves]
+
+    # every view a step or a snapshot uses, made once: per chunk of base
+    # paths, then per variance
+    step_views, snap_views = [], []
+    for c in range(0, n, width):
+        part = slice(c, c + width)
+        vp, sc = v_plus[:, : min(width, n - c)], a[:, : min(width, n - c)]
+        for j in range(start.size):
+            vj, s_v, s_root = v[j, :, part], sum_v[j, :, part], sum_root[j, :, part]
+            shocks = [(np.add, vj[0], sc[0])]
+            if halves == 2:
+                shocks.append((np.subtract, vj[1], sc[1]))
+            step_views.append((vj, s_v, s_root, z[part], vp, sc, shocks))
+            snap_views.append((s_v, s_root, sc, forwards[j, :, :, part], variances[j, :, :, part]))
 
     def snapshot(k):
-        for i in reversed(range(len(maturity_steps))):
-            if maturity_steps[i] == k:
-                f, w = forwards[i], variances[i]
-                np.multiply(sum_root, rho * math.sqrt(dt), out=f)
-                np.multiply(sum_v, 0.5 * rho**2 * dt, out=a)
-                np.subtract(f, a, out=f)
+        growth = spot * math.exp(mg.r * k * dt)
+        for s_v, s_root, sc, fw, var in snap_views:
+            for i in reversed(snap_at[k]):
+                f, w = fw[i], var[i]
+                np.multiply(s_root, root_scale, out=f)
+                np.multiply(s_v, 0.5 * rho**2 * dt, out=sc)
+                np.subtract(f, sc, out=f)
                 np.exp(f, out=f)
-                np.multiply(f, spot * math.exp(mg.r * k * dt), out=f)
-                np.multiply(sum_v, (1.0 - rho**2) * dt, out=w)
+                np.multiply(f, growth, out=f)
+                np.multiply(s_v, (1.0 - rho**2) * dt, out=w)
 
-    snapshot(0)
+    if 0 in snap_at:
+        snapshot(0)
     for k in range(1, n_steps + 1):
         if k == 1 and cfg.stratified:
-            _stratified_normals(rng, cfg.n_strata, z[:n])
+            _stratified_normals(rng, cfg.n_strata, z)
         else:
-            rng.standard_normal(out=z[:n])
-        if cfg.antithetic:
-            np.negative(z[:n], out=z[n:])
-        np.maximum(v, 0.0, out=v_plus)
-        np.add(sum_v, v_plus, out=sum_v)
-        np.sqrt(v_plus, out=a)
-        np.multiply(a, z, out=a)
-        np.add(sum_root, a, out=sum_root)
-        _advance_variance(v, v_plus, dt, z, mg, a)
-        snapshot(k)
-    return forwards, variances
+            rng.standard_normal(out=z)
+        for vj, s_v, s_root, zc, vp, sc, shocks in step_views:
+            np.maximum(vj, 0.0, out=vp)
+            np.add(s_v, vp, out=s_v)
+            np.sqrt(vp, out=sc)
+            np.multiply(sc, zc, out=sc)
+            np.add(s_root, sc, out=s_root)
+            _variance_drift_and_shock(vj, vp, dt, zc, mg, sc)
+            for op, half, shock in shocks:
+                op(half, shock, out=half)
+        if k in snap_at:
+            snapshot(k)
+    shape = (start.size, len(maturity_steps), halves * n)
+    forwards, variances = forwards.reshape(shape), variances.reshape(shape)
+    return (forwards[0], variances[0]) if start.ndim == 0 else (forwards, variances)
 
 
 def simulate_euler(
@@ -379,6 +429,15 @@ def price_option_mc(opt: OptionSpec, mg: MgParams, cfg: McConfig) -> McPrice:
     return _estimate(payoff, cfg, math.exp(-mg.r * opt.tau_cal))
 
 
+def simulate_surface(spot: float, variance, maturities_days, mg: MgParams, cfg: McConfig, rng=None):
+    """simulate_terminal on the step grid of a surface: one snapshot per
+    maturity in days, at cfg.steps_per_day steps a day.  variance and rng
+    as there, so a sequence of variances shares one draw stream."""
+    steps = [maturity_step_count(m / DAYS_PER_YEAR, cfg.steps_per_day) for m in maturities_days]
+    dt = 1.0 / (DAYS_PER_YEAR * cfg.steps_per_day)
+    return simulate_terminal(spot, variance, mg, cfg, steps, dt, rng)
+
+
 def price_surface_mc(
     spot: float,
     variance: float,
@@ -388,6 +447,7 @@ def price_surface_mc(
     cfg: McConfig,
     kind: str = "call",
     rng=None,
+    paths=None,
 ):
     """Price a maturity x strike grid of options from one shared path set.
 
@@ -395,19 +455,22 @@ def price_surface_mc(
     the surface is what makes desk-scale path counts affordable; estimates
     for different contracts are correlated but individually unbiased.
 
-    The paths come from the conditional engine (simulate_terminal; rng as
-    there).  A path's payoff is its undiscounted Black price at (F, W), a
-    put by parity on that path (call - F + K).  bs_price runs on
-    PRICE_CHUNK paths at a time, so its temporaries stay small whatever
-    the path count.  Raises InvalidParams unless kind is "call" or "put",
-    before any path is simulated.
+    The paths come from the conditional engine (simulate_surface; rng as
+    there), or are passed as paths = (forwards, variances), one contract
+    set's entry of a simulate_surface call on these maturities and cfg;
+    pricing overwrites those variances with their square roots.  A path's
+    payoff is its undiscounted Black price at (F, W), a put by parity on
+    that path (call - F + K).  bs_price runs on PRICE_CHUNK paths at a
+    time, so its temporaries stay small whatever the path count.  Raises
+    InvalidParams unless kind is "call" or "put", before any path is
+    simulated.
     """
     check_kind(kind)
     maturities_days = list(maturities_days)
     strikes = list(strikes)
-    steps = [maturity_step_count(m / DAYS_PER_YEAR, cfg.steps_per_day) for m in maturities_days]
-    dt = 1.0 / (DAYS_PER_YEAR * cfg.steps_per_day)
-    forwards, variances = simulate_terminal(spot, variance, mg, cfg, steps, dt, rng)
+    if paths is None:
+        paths = simulate_surface(spot, variance, maturities_days, mg, cfg, rng)
+    forwards, variances = paths
     out = {}
     payoff = np.empty(forwards.shape[1])
     for i, m_days in enumerate(maturities_days):

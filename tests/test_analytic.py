@@ -6,8 +6,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from mgpert import analytic
 from mgpert.analytic import (
+    _black_terms,
+    _bs_float,
     bs_price,
     bs_vega,
+    correction_kernel,
     correction_root_variance,
     implied_vol,
     implied_vol_array,
@@ -174,6 +177,24 @@ class TestPerturbCorrection:
         ]
         assert cs[1] - cs[0] == pytest.approx(cs[2] - cs[1], rel=1e-9)
 
+    @given(
+        st.floats(min_value=-1.0, max_value=1.0),
+        st.floats(min_value=1e-3, max_value=2.0),
+        st.floats(min_value=0.0, max_value=0.5),
+        st.floats(min_value=0.05, max_value=0.6),
+        st.floats(min_value=-1.0, max_value=-0.01) | st.floats(min_value=0.01, max_value=1.0),
+        st.floats(min_value=0.0, max_value=0.05),
+    )
+    @settings(max_examples=300)
+    # x**2 and tau**2 on 0-d input were C pow, on arrays products: a last bit apart
+    @example(-0.3987907351747264, 0.563094675476313, 0.22633860302828873,
+             0.38918567076058197, -0.461592261221843, 0.0)
+    def test_kernel_scalar_is_one_element_array(self, x, tau, variance, sigma, r2, r):
+        scalar = correction_kernel(x, tau, variance, sigma, r2, r, 4.6)
+        array = correction_kernel(np.array([x]), np.array([tau]), np.array([variance]),
+                                  sigma, r2, r, 4.6)
+        assert np.float64(scalar).tobytes() == array.tobytes()
+
 
 class TestPriceMg:
     def test_total_is_sum(self, scn_mg, scn_pert):
@@ -194,6 +215,27 @@ class TestPriceMg:
         opt = OptionSpec(spot=102.0, strike=100.0, tau_cal=0.1, variance=0.05)
         bd = price_mg(opt, scn_mg, scn_pert)
         assert bd.c0 == pytest.approx(price_symmetric(opt, scn_pert, scn_mg.r))
+
+    def test_d1_is_the_one_that_priced_c0(self, scn_mg, scn_pert):
+        # a seeded book of 1250 call/put pairs: with math.log and sigma**2,
+        # 38 of these d1 were a last bit away from the d1 of the C0 price
+        rng = np.random.default_rng(1)
+        strikes = 100.0 * rng.uniform(0.9, 1.1, 1250)
+        taus = rng.uniform(7.0, 180.0, 1250) / 365.0
+        variances = rng.uniform(0.01, 0.1225, 1250)
+        sigma, r = scn_pert.sigma, scn_mg.r
+        for k, tau, v in zip(strikes.tolist(), taus.tolist(), variances.tolist()):
+            for kind in ("call", "put"):
+                bd = price_mg(OptionSpec(spot=100.0, strike=k, tau_cal=tau, kind=kind,
+                                         variance=v), scn_mg, scn_pert)
+                c0, d1 = _bs_float(sigma, 100.0, tau, r, kind, *_black_terms(100.0, k, tau, r))
+                assert (bd.c0, bd.d1) == (c0, d1)
+                assert bd.d2 == d1 - sigma * math.sqrt(tau)
+
+    def test_d1_at_expiry_is_signed_infinity(self, scn_mg, scn_pert):
+        for strike, sign in ((90.0, 1.0), (100.0, 1.0), (110.0, -1.0)):
+            bd = price_mg(OptionSpec(spot=100.0, strike=strike, tau_cal=0.0), scn_mg, scn_pert)
+            assert bd.d1 == bd.d2 == sign * math.inf
 
 
 class TestImpliedVol:

@@ -11,7 +11,10 @@ which is what the determinism promise covers.  The pert_price_grid and
 implied_vol_array hashes were recorded before the three copies of the
 correction and the two implied-vol loops were merged into one each.  The
 scalar book's hash was recorded while every Phi still came from
-scipy.special.ndtr, before scalars moved to analytic's pure-Python port.
+scipy.special.ndtr, before scalars moved to analytic's pure-Python port,
+and re-recorded once when PriceBreakdown.d1 took bs_price's expressions
+(6 d1 and 5 d2 of the book moved by one ulp; every price and implied vol
+kept its bits) and the 0-d correction kernel its array squares.
 """
 
 import contextlib
@@ -233,5 +236,5 @@ def test_scalar_pricing_golden():
                      ["--kind", "call", "--strike", "80", "--days", "7", "--sigma", "0.3"]):
             assert cli.main(["price", *argv]) == 0
     assert _sha(out.tobytes() + stdout.getvalue().encode()) == (
-        "ddf57394517bd30463eb58473e8fbab74e0490b3be7c5232a4bf80412871f125"
+        "a49784dd084982233220bc7e492d7bcbc1af905aa4aff7098326bf44c61bafc6"
     )

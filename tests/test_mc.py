@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,6 +263,86 @@ class TestSurface:
         assert maturity_step_count(1e-9, 10) == 1
 
 
+class TestSharedStream:
+    """Several initial variances advanced on one draw stream."""
+
+    @pytest.mark.parametrize("starts", [(0.0,), (0.1225, 0.0), (0.1225, 0.0625, 0.0, 0.01)])
+    @pytest.mark.parametrize("antithetic, stratified",
+                             [(True, True), (True, False), (False, True), (False, False)])
+    @pytest.mark.parametrize("alpha", [1.0, 0.7])
+    @pytest.mark.parametrize("explicit_rng", [False, True])
+    def test_each_variance_is_its_own_call(self, starts, antithetic, stratified, alpha,
+                                           explicit_rng, monkeypatch):
+        mg = MgParams(kappa=1.5, theta=0.08, xi=1.5, rho=-0.5, alpha=alpha, r=0.02)
+        cfg = McConfig(n_paths=240, antithetic=antithetic, stratified=stratified,
+                       n_strata=10, seed=4)
+        steps = [0, 7, 3, 7]  # step 0, and the last step twice
+
+        def simulate(variance):
+            rng = mc._philox(5, 1) if explicit_rng else None
+            return simulate_terminal(100.0, variance, mg, cfg, steps, 1 / 3650, rng)
+
+        alone = [simulate(v) for v in starts]
+        # chunks of 32 base paths: several full ones and a partial last one
+        monkeypatch.setattr(mc, "STEP_CHUNK", 32)
+        forwards, variances = simulate(list(starts))
+        assert forwards.shape == variances.shape == (len(starts), len(steps), cfg.n_paths)
+        for j, (f_alone, w_alone) in enumerate(alone):
+            assert forwards[j].tobytes() == f_alone.tobytes()
+            assert variances[j].tobytes() == w_alone.tobytes()
+        assert (forwards[:, 0] == 100.0).all() and (variances[:, 0] == 0.0).all()
+
+    def test_rejects_2d_variance(self):
+        with pytest.raises(InvalidParams, match="1-D"):
+            simulate_terminal(100.0, [[0.04]], STATIC_MG, McConfig(n_paths=100), [1], 0.01)
+
+    @pytest.mark.parametrize("n_var", [1, 4])
+    @pytest.mark.parametrize("antithetic", [True, False])
+    def test_memory(self, n_var, antithetic):
+        # per variance the state and the two sums (the output rows), plus
+        # the draws (at most one path vector) and chunk-sized scratch; at
+        # 10^5 paths an extra path vector per variance would not fit
+        cfg = McConfig(n_paths=100_000, antithetic=antithetic, n_strata=50, seed=2)
+        starts = 0.09 if n_var == 1 else [0.09] * n_var
+        simulate_terminal(100.0, starts, STATIC_MG, cfg, [2], 1 / 3650)  # warm-up
+        tracemalloc.start()
+        try:
+            simulate_terminal(100.0, starts, STATIC_MG, cfg, [5], 1 / 3650)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (3 * n_var + 1) * cfg.n_paths * 8 + 0.5 * 2**20
+
+    def test_static_experiment_simulates_once(self, monkeypatch):
+        calls = {"simulate_terminal": 0, "price_surface_mc": 0}
+        surfaces = []
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                result = original(*args, **kwargs)
+                if name == "price_surface_mc":
+                    surfaces.append(result)
+                return result
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(mc, "simulate_terminal")
+        counted(experiments, "price_surface_mc")
+        v_grid = (0.35, 0.25, 0.1)
+        cfg = McConfig(n_paths=400, steps_per_day=2, n_strata=20, seed=6)
+        report = run_static_experiment(v_grid=v_grid, mc_cfg=cfg)
+        assert calls == {"simulate_terminal": 1, "price_surface_mc": 3}
+        assert [row.v_init for row in report.rows] == list(v_grid)
+        # each scenario's surface is what its own simulation gives
+        monkeypatch.undo()
+        strikes = [100.0 * m for m in STATIC_MONEYNESS]
+        for v, surface in zip(v_grid, surfaces):
+            assert surface == price_surface_mc(100.0, v**2, [30.0], strikes, STATIC_MG, cfg)
+
+
 class TestTimeSeries:
     SPEC = TimeSeriesSpec(
         n_sample_paths=2, n_obs=2,
@@ -349,6 +430,8 @@ class TestTimeSeries:
             raise AssertionError("simulated before checking maturity_days")
 
         monkeypatch.setattr(experiments, "price_surface_mc", no_simulation)
+        monkeypatch.setattr(experiments, "simulate_surface", no_simulation)
+        monkeypatch.setattr(mc, "simulate_terminal", no_simulation)
         with pytest.raises(InvalidParams, match="maturity_days"):
             run_static_experiment(maturity_days=days)
 
