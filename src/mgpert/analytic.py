@@ -6,20 +6,16 @@ Green's-function integral of the breaking operator applied to the symmetric
 solution; it is identical for calls and puts, so put prices follow from
 parity on the symmetric part.
 
-normal_cdf is the program's only Phi, and it has two paths.  Inputs of at
-most 2 elements (a scalar, or an IV_MIN/IV_MAX bracket) go to _ndtr_float,
-a pure-Python port of Cephes' ndtr (Moshier 1989), which is the routine
-scipy.special.ndtr wraps.  Larger arrays go to scipy.special.ndtr itself,
-imported on the first such call, so pricing a contract never imports scipy,
-which cost a cold `mgpert price` about 0.3 s and 21 MB on a 2-vCPU VM.
-Both paths give the same bits.
-
-bs_price and implied_vol_array have two paths too, chosen by input size.
-When every argument is a finite 0-d number (with spot, strike > 0 and
-tau >= 0), they compute on Python floats in _bs_float and
-_implied_vol_float, which call _ndtr_float directly; anything else runs
-the numpy code.  The float paths repeat the numpy expressions operation
-for operation, so both paths give the same bits:
+_black is the one Black-Scholes formula (the call, put parity and d1) and
+_vega the one vega.  Both run on Python floats and on numpy arrays alike.
+bs_price and implied_vol_array compute finite 0-d arguments (with spot,
+strike > 0 and tau >= 0) on floats, in _bs_float and _implied_vol_float,
+and anything else on arrays; the two paths give the same bits:
+- Phi is normal_cdf, the program's only one: _ndtr_float, a pure-Python
+  port of Cephes' ndtr (Moshier 1989), on floats, and scipy.special.ndtr,
+  the routine it ports, on arrays of more than 2 elements.  scipy is
+  imported on the first such call, so pricing a contract never imports it
+  (about 0.3 s and 21 MB of a cold `mgpert price`).
 - exp and log are numpy's, called on a Python float.  libm's math.exp and
   math.log differ from them in the last bit on 4.5% and 0.2% of normal
   draws with standard deviation 3.  (_price_bracket, which both paths
@@ -27,11 +23,7 @@ for operation, so both paths give the same bits:
 - Squares are products.  numpy squares an array as x*x, but x**2 on a
   numpy scalar or a Python float is C pow, which can differ in the last bit.
 - Python float division raises where numpy gives inf or NaN, so the float
-  paths divide only where the numpy result is used.
-Per call, best of 5 passes over a 2500-contract book (2-vCPU VM, numpy
-2.4): implied_vol took 174-213 us through numpy's 0-d arrays, about 35
-numpy calls per Newton-bisection step, and takes 22-38 us on floats;
-price_mg took 40-56 us and takes 25-40 us.
+  path divides only where sigma * sqrt(tau) > 0.
 """
 
 from __future__ import annotations
@@ -139,8 +131,9 @@ def normal_cdf(d):
     """Standard normal CDF, bit-identical to scipy.special.ndtr.
 
     Inputs of at most 2 elements go to _ndtr_float; the split sits at 2
-    because a scalar price, or the IV_MIN/IV_MAX bracket of a scalar
-    inversion, has at most 2.  Larger arrays go to scipy's ndtr: a numpy
+    because the IV_MIN/IV_MAX bracket of a one-contract inversion on the
+    numpy path (a 1-element array, or non-finite 0-d input) has 2.
+    Larger arrays go to scipy's ndtr: a numpy
     port matches its bits only with exp taken in complex arithmetic, which
     made it 7 times slower per element than scipy (2-vCPU VM, numpy 2.4).
     Like scipy, returns np.float64 for 0-d input and a float array otherwise.
@@ -181,77 +174,70 @@ def _black_terms(spot, strike, tau, r):
     return float(np.log(spot / strike)), strike * float(np.exp(-r * tau)), math.sqrt(tau)
 
 
-def _bs_float(sigma, spot, tau, r, kind, log_m, kdisc, sqrt_tau):
-    """(bs_price, d1) on Python floats, in bs_price's operation order.
+def _black(sigma, spot, tau, r, kind, log_m, kdisc, sqrt_tau, cdf):
+    """(price, d1) by the Black-Scholes formula, the one copy of it.
 
-    log_m, kdisc and sqrt_tau come from _black_terms; d1 is NaN where
-    sigma * sqrt(tau) <= 0 and the price is the discounted payoff.
+    Python floats take cdf = _ndtr_float and arrays cdf = normal_cdf.
+    log_m, kdisc and sqrt_tau are log(S/K), K e^{-r tau} and sqrt(tau), as
+    _black_terms computes them.  Only entries with sigma * sqrt(tau) > 0
+    are meaningful; a float raises ZeroDivisionError at 0.
     """
     stt = sigma * sqrt_tau
-    if stt > 0:
-        d1 = (log_m + (r + 0.5 * (sigma * sigma)) * tau) / stt
-        call = spot * _ndtr_float(d1) - kdisc * _ndtr_float(d1 - stt)
-    else:
-        d1 = math.nan
-        call = max(spot - kdisc, 0.0)
+    d1 = (log_m + (r + 0.5 * (sigma * sigma)) * tau) / stt
+    call = spot * cdf(d1) - kdisc * cdf(d1 - stt)
     return (call if kind == "call" else call - spot + kdisc), d1
+
+
+def _vega(spot_root, d1):
+    """dC/dsigma from S sqrt(tau) and d1, on floats or arrays (a numpy scalar for floats)."""
+    return spot_root * np.exp(-0.5 * (d1 * d1)) / _SQRT_2PI
+
+
+def _bs_float(sigma, spot, tau, r, kind, log_m, kdisc, sqrt_tau):
+    """(bs_price, d1) on Python floats; the terms come from _black_terms.
+
+    Where sigma * sqrt(tau) <= 0 the price is the discounted payoff: the
+    formula's limit as d1 = d2 goes to +inf (spot >= K e^{-r tau}) or -inf,
+    which _black gives, with that d1, at sigma = sqrt_tau = 1, tau = 0 and
+    log_m = +-inf.
+    """
+    if not sigma * sqrt_tau > 0:
+        sigma, tau, sqrt_tau, log_m = 1.0, 0.0, 1.0, math.inf if spot >= kdisc else -math.inf
+    return _black(sigma, spot, tau, r, kind, log_m, kdisc, sqrt_tau, _ndtr_float)
 
 
 def bs_price(spot, strike, tau, r, sigma, kind="call"):
     """Black-Scholes price, vectorized; exact payoff at tau = 0 or sigma = 0.
 
     Returns a float when every argument is 0-d.  Finite 0-d arguments are
-    priced on Python floats by _bs_float, others by numpy; the two paths
-    give the same bits (see the module docstring).  Raises InvalidParams
-    unless kind is "call" or "put".
+    priced on Python floats by _bs_float, others by numpy; both run _black,
+    so they give the same bits.  Raises InvalidParams unless kind is "call"
+    or "put".
     """
     check_kind(kind)
     args = _contract_floats(spot, strike, tau, r, sigma)
     if args is not None:
         spot, strike, tau, r, sigma = args
         return _bs_float(sigma, spot, tau, r, kind, *_black_terms(spot, strike, tau, r))[0]
-    spot = np.asarray(spot, dtype=float)
-    strike = np.asarray(strike, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    stt = sigma * np.sqrt(tau)
+    spot, strike, tau, sigma = (np.asarray(a, dtype=float) for a in (spot, strike, tau, sigma))
+    sqrt_tau = np.sqrt(tau)
+    kdisc = strike * np.exp(-r * tau)
     with np.errstate(divide="ignore", invalid="ignore"):
-        d1 = (np.log(spot / strike) + (r + 0.5 * sigma**2) * tau) / stt
-    d2 = d1 - stt
-    disc = np.exp(-r * tau)
-    call = np.where(
-        stt > 0,
-        spot * normal_cdf(d1) - strike * disc * normal_cdf(d2),
-        np.maximum(spot - strike * disc, 0.0),
-    )
-    if kind == "call":
-        out = call
-    else:
-        out = call - spot + strike * disc
+        out, _ = _black(sigma, spot, tau, r, kind, np.log(spot / strike), kdisc, sqrt_tau, normal_cdf)
+        live = sigma * sqrt_tau > 0
+        if not live.all():  # the payoff, as in _bs_float
+            limit = np.where(spot >= kdisc, np.inf, -np.inf)
+            out = np.where(live, out, _black(1.0, spot, 0.0, r, kind, limit, kdisc, 1.0, normal_cdf)[0])
     return out if out.ndim else float(out)
 
 
 def bs_vega(spot, strike, tau, r, sigma):
-    spot = np.asarray(spot, dtype=float)
-    stt = sigma * np.sqrt(tau)
+    """Black-Scholes vega dC/dsigma, vectorized; 0 where sigma * sqrt(tau) <= 0."""
+    spot, sigma = np.asarray(spot, dtype=float), np.asarray(sigma, dtype=float)
+    sqrt_tau, kdisc = np.sqrt(tau), strike * np.exp(-r * tau)
     with np.errstate(divide="ignore", invalid="ignore"):
-        d1 = (np.log(spot / strike) + (r + 0.5 * (sigma * sigma)) * tau) / stt
-    out = spot * np.sqrt(tau) * np.exp(-0.5 * (d1 * d1)) / _SQRT_2PI
-    return np.where(stt > 0, out, 0.0)
-
-
-def d1_d2(opt: OptionSpec, sigma: float, r: float) -> tuple[float, float]:
-    """Black-Scholes arguments; (inf, inf) signs at tau = 0 by moneyness.
-
-    d1 is _bs_float's, the one that prices C0: numpy's log, sigma * sigma.
-    """
-    stt = sigma * math.sqrt(opt.tau_cal)
-    if stt == 0.0:
-        s = math.inf if opt.spot >= opt.strike else -math.inf
-        return s, s
-    log_m = float(np.log(opt.spot / opt.strike))
-    d1 = (log_m + (r + 0.5 * (sigma * sigma)) * opt.tau_cal) / stt
-    return d1, d1 - stt
+        _, d1 = _black(sigma, spot, tau, r, "call", np.log(spot / strike), kdisc, sqrt_tau, normal_cdf)
+        return np.where(sigma * sqrt_tau > 0, _vega(spot * sqrt_tau, d1), 0.0)
 
 
 def price_symmetric(opt: OptionSpec, pert: PerturbParams, r: float) -> float:
@@ -301,12 +287,16 @@ def correction_root_variance(pert: PerturbParams, deriv: DerivedParams, tau_cal:
 
 
 def price_mg(opt: OptionSpec, mg: MgParams, pert: PerturbParams) -> PriceBreakdown:
-    """Full perturbative price C0 + C1 with the Black-Scholes arguments."""
+    """Full perturbative price C0 + C1 with the Black-Scholes arguments of C0.
+
+    C0 and d1 come from one _bs_float evaluation; at tau = 0, d1 = d2 is
+    +inf where spot >= strike and -inf below.
+    """
     deriv = derive_params(mg, pert)
-    c0 = price_symmetric(opt, pert, mg.r)
+    log_m, kdisc, sqrt_tau = _black_terms(opt.spot, opt.strike, opt.tau_cal, mg.r)
+    c0, d1 = _bs_float(pert.sigma, opt.spot, opt.tau_cal, mg.r, opt.kind, log_m, kdisc, sqrt_tau)
     c1 = perturb_correction(opt, pert, deriv, mg.r)
-    d1, d2 = d1_d2(opt, pert.sigma, mg.r)
-    return PriceBreakdown(c0=c0, c1=c1, total=c0 + c1, d1=d1, d2=d2)
+    return PriceBreakdown(c0=c0, c1=c1, total=c0 + c1, d1=d1, d2=d1 - pert.sigma * sqrt_tau)
 
 
 def _price_bracket(spot, strike, tau, r, kind):
@@ -363,7 +353,7 @@ def _implied_vol_float(price, spot, strike, tau, r, kind):
             hi = sigma
         elif diff <= 0:
             lo = sigma
-        vega = spot_root * float(np.exp(-0.5 * (d1 * d1))) / _SQRT_2PI
+        vega = float(_vega(spot_root, d1))
         mid = 0.5 * (lo + hi)
         if vega > 1e-12:
             newton = sigma - diff / vega
@@ -404,7 +394,7 @@ def implied_vol_array(prices, spot, strikes, tau, r, kind="call"):
     clamp_lo = ok & (f_lo >= 0)
     active = ok & ~clamp_lo & (f_hi > 0)
 
-    # the loop invariants of bs_price and bs_vega, in their expressions' order
+    # _black's and _vega's loop invariants
     sqrt_tau = np.sqrt(tau)
     log_m = np.log(spot / strikes)
     kdisc = strikes * np.exp(-r * tau)
@@ -415,17 +405,15 @@ def implied_vol_array(prices, spot, strikes, tau, r, kind="call"):
     # at tau = 0 nothing is active, and only the first price is computed
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(IV_MAX_ITER):
-            stt = sigma * sqrt_tau
-            d1 = (log_m + (r + 0.5 * sigma**2) * tau) / stt
-            call = spot * normal_cdf(d1) - kdisc * normal_cdf(d1 - stt)
-            diff = (call if kind == "call" else call - spot + kdisc) - prices
+            model, d1 = _black(sigma, spot, tau, r, kind, log_m, kdisc, sqrt_tau, normal_cdf)
+            diff = model - prices
             done = np.abs(diff) <= IV_PRICE_TOL
             pending = active & ~done
             if not np.count_nonzero(pending):
                 break
             hi = np.where(active & (diff > 0), sigma, hi)
             lo = np.where(active & (diff <= 0), sigma, lo)
-            vega = spot_root * np.exp(-0.5 * (d1 * d1)) / _SQRT_2PI
+            vega = _vega(spot_root, d1)
             newton = sigma - diff / vega
             mid = 0.5 * (lo + hi)
             step = np.where((vega > 1e-12) & (newton > lo) & (newton < hi), newton, mid)

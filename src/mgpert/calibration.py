@@ -48,9 +48,19 @@ class Quote:
             raise InvalidParams("quote needs a price or an implied vol")
 
 
+def _implied_vols(prices, spot, strike, tau, r, kind="call"):
+    """implied_vol_array over quote arrays of mixed maturity: one call per
+    maturity, since it takes a scalar tau."""
+    out = np.empty_like(prices)
+    for t in np.unique(tau):
+        sel = tau == t
+        out[sel] = implied_vol_array(prices[sel], spot[sel], strike[sel], float(t), r, kind)
+    return out
+
+
 @dataclass
 class QuoteSet:
-    """Quotes sharing a rate and an observation timestamp.
+    """Quotes sharing a rate.
 
     Quotes whose price cannot be inverted to an implied volatility are
     dropped up front and counted in n_dropped.
@@ -58,7 +68,6 @@ class QuoteSet:
 
     quotes: list
     r: float = 0.0
-    timestamp: float = 0.0
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -68,36 +77,24 @@ class QuoteSet:
     def arrays(self):
         """(spot, strike, tau, variance, observed_iv) arrays over usable quotes.
 
-        Price quotes are inverted with one implied_vol_array call per
-        (kind, maturity) group; the arrays keep the quotes' order.
+        Price quotes are inverted by _implied_vols, once per kind; the
+        arrays keep the quotes' order.
         """
         if "arrays" not in self._cache:
-            iv = [q.iv for q in self.quotes]
-            groups = {}
-            for i, q in enumerate(self.quotes):
-                if q.iv is None:
-                    groups.setdefault((q.opt.kind, q.opt.tau_cal), []).append(i)
-            for (kind, tau), idx in groups.items():
-                qs = [self.quotes[i] for i in idx]
-                got = implied_vol_array(
-                    [q.price for q in qs], [q.opt.spot for q in qs], [q.opt.strike for q in qs],
-                    tau, self.r, kind,
-                )
-                for i, q_iv in zip(idx, got.tolist()):
-                    iv[i] = q_iv if math.isfinite(q_iv) else None
-            keep = [i for i, q_iv in enumerate(iv) if q_iv is not None]
-            opts = [self.quotes[i].opt for i in keep]
-            self._cache["arrays"] = tuple(
-                np.asarray(col)
-                for col in (
-                    [o.spot for o in opts],
-                    [o.strike for o in opts],
-                    [o.tau_cal for o in opts],
-                    [o.variance for o in opts],
-                    [iv[i] for i in keep],
-                )
+            quotes = self.quotes
+            spot, strike, tau, var = (
+                np.array([getattr(q.opt, a) for q in quotes], dtype=float)
+                for a in ("spot", "strike", "tau_cal", "variance")
             )
-            self._cache["n_dropped"] = len(self.quotes) - len(keep)
+            given = np.array([q.iv is not None for q in quotes])
+            # each quote's implied vol, or its price until inverted
+            iv = np.array([q.price if q.iv is None else q.iv for q in quotes], dtype=float)
+            for kind in ("call", "put"):
+                sel = ~given & np.array([q.opt.kind == kind for q in quotes])
+                iv[sel] = _implied_vols(iv[sel], spot[sel], strike[sel], tau[sel], self.r, kind)
+            keep = given | np.isfinite(iv)
+            self._cache["arrays"] = tuple(a[keep] for a in (spot, strike, tau, var, iv))
+            self._cache["n_dropped"] = len(quotes) - int(np.count_nonzero(keep))
         return self._cache["arrays"]
 
     @property
@@ -135,13 +132,7 @@ def _model_residuals(quotes: QuoteSet, theta):
     kappa, xi, alpha, sigma = theta
     spot, strike, tau, var, obs_iv = quotes.arrays()
     prices = pert_price_grid(spot, strike, tau, var, quotes.r, kappa, xi, alpha, sigma)
-    # implied_vol_array takes a scalar tau, so invert one maturity at a time
-    model_iv = np.empty_like(prices)
-    for t in np.unique(tau):
-        sel = tau == t
-        model_iv[sel] = implied_vol_array(
-            prices[sel], spot[sel], strike[sel], float(t), quotes.r
-        )
+    model_iv = _implied_vols(prices, spot, strike, tau, quotes.r)
     resid = model_iv - obs_iv
     return np.where(np.isfinite(resid), resid, PENALTY_RESIDUAL), model_iv
 
