@@ -1,6 +1,12 @@
+import os
+
 import pytest
 
 from mgpert.params import MgParams, PerturbParams, derive_params
+
+# child interpreters (the CLI runs) import the same tree as the tests
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 # high-vol scenario used throughout: sharp mean reversion, large vol-of-vol
 SCN_SIGMA = 0.2865
