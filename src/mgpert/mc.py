@@ -268,6 +268,9 @@ def simulate_terminal(
     n_steps = max(maturity_steps)
     n = cfg.n_base
     halves = 2 if cfg.antithetic else 1
+    shape = (start.size, len(maturity_steps), halves * n)
+    if not start.size:  # no variance to advance: draw nothing
+        return np.empty(shape), np.empty(shape)
     rho = mg.rho
     snap_at = {}  # step count -> every row that asks for it
     for i, step in enumerate(maturity_steps):
@@ -334,7 +337,6 @@ def simulate_terminal(
                 op(half, shock, out=half)
         if k in snap_at:
             snapshot(k)
-    shape = (start.size, len(maturity_steps), halves * n)
     forwards, variances = forwards.reshape(shape), variances.reshape(shape)
     return (forwards[0], variances[0]) if start.ndim == 0 else (forwards, variances)
 

@@ -313,6 +313,18 @@ class TestSharedStream:
             tracemalloc.stop()
         assert peak <= (3 * n_var + 1) * cfg.n_paths * 8 + 0.5 * 2**20
 
+    def test_empty_grid_draws_nothing(self, monkeypatch):
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"drew normals: rng.{name}")
+
+        monkeypatch.setattr(mc, "_philox", lambda *words: NoDraws())
+        cfg = McConfig(n_paths=1000, steps_per_day=2, n_strata=50, seed=6)
+        report = run_static_experiment(v_grid=(), mc_cfg=cfg)
+        assert report.rows == report.curves == report.results == []
+        forwards, variances = simulate_terminal(100.0, [], STATIC_MG, cfg, [0, 4], 1 / 730)
+        assert forwards.shape == variances.shape == (0, 2, 1000)
+
     def test_static_experiment_simulates_once(self, monkeypatch):
         calls = {"simulate_terminal": 0, "price_surface_mc": 0}
         surfaces = []
