@@ -272,10 +272,14 @@ def correction_kernel(x, tau, variance, sigma, r2, r, log_strike=0.0):
 def perturb_correction(
     opt: OptionSpec, pert: PerturbParams, deriv: DerivedParams, r: float
 ) -> float:
-    """Leading-order correction C1 = P1 (same value for calls and puts)."""
+    """Leading-order correction C1 = P1 (same value for calls and puts).
+
+    log S/K and log K are numpy's, as in pert_price_grid, so both give the
+    same bits.
+    """
     return correction_kernel(
-        math.log(opt.spot / opt.strike), opt.tau_cal, opt.variance, pert.sigma, deriv.r2, r,
-        math.log(opt.strike),
+        np.log(opt.spot / opt.strike), opt.tau_cal, opt.variance, pert.sigma, deriv.r2, r,
+        np.log(opt.strike),
     )
 
 

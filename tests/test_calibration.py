@@ -18,7 +18,7 @@ from mgpert.calibration import (
 from mgpert.errors import DegenerateParams, EmptyQuoteSet, InvalidParams
 from mgpert.experiments import DATASETS
 from mgpert.mc import DAYS_PER_YEAR
-from mgpert.params import EPS_DEGENERATE, OptionSpec, PerturbParams
+from mgpert.params import EPS_DEGENERATE, MgParams, OptionSpec, PerturbParams
 
 THETA = (1.5, 1.5, 1.0, 0.2865)  # (kappa, xi, alpha, sigma)
 # kappa chosen so R2 = 1 + sqrt(2)(-kappa - xi^2)/(sigma xi) vanishes
@@ -150,17 +150,24 @@ class TestIvrmse:
 
 
 class TestPertPriceGrid:
-    def test_reduces_to_analytic_pricer(self, scn_mg, scn_pert):
-        from mgpert.analytic import price_mg
-
-        strikes = np.array([90.0, 100.0, 110.0])
-        grid = pert_price_grid(
-            100.0, strikes, TAU, 0.09, 0.0,
-            scn_mg.kappa, scn_mg.xi, scn_mg.alpha, scn_pert.sigma,
-        )
-        for k, got in zip(strikes, grid):
-            opt = OptionSpec(spot=100.0, strike=float(k), tau_cal=TAU, variance=0.09)
-            assert got == pytest.approx(price_mg(opt, scn_mg, scn_pert).total, rel=1e-12)
+    @pytest.mark.parametrize("mg, sigma", [
+        (MgParams(kappa=1.5, theta=0.08, xi=1.5, rho=-0.5, alpha=1.0), 0.2865),
+        (MgParams(kappa=1.1768, theta=0.0823, xi=0.3, rho=-0.5459, alpha=0.5, r=0.01), 0.25),
+    ])
+    def test_reduces_to_analytic_pricer(self, mg, sigma):
+        # the same bits as price_mg over a seeded book of calls; with math.log
+        # for C1's log-moneyness, a few totals in 10^4 were one ulp away
+        rng = np.random.default_rng(4)
+        strikes = rng.uniform(60.0, 160.0, 10_000)
+        taus = rng.uniform(1.0, 365.0, strikes.size) / 365.0
+        variances = rng.uniform(0.005, 0.3, strikes.size)
+        grid = pert_price_grid(100.0, strikes, taus, variances, mg.r, mg.kappa, mg.xi, mg.alpha, sigma)
+        pert = PerturbParams.from_mg(mg, sigma)
+        totals = [
+            price_mg(OptionSpec(spot=100.0, strike=k, tau_cal=t, variance=v), mg, pert).total
+            for k, t, v in zip(strikes.tolist(), taus.tolist(), variances.tolist())
+        ]
+        assert np.array(totals).tobytes() == grid.tobytes()
 
     def test_degenerate_raises(self):
         kappa, xi, alpha, sigma = DEGENERATE

@@ -14,7 +14,9 @@ scalar book's hash was recorded while every Phi still came from
 scipy.special.ndtr, before scalars moved to analytic's pure-Python port,
 and re-recorded once when PriceBreakdown.d1 took bs_price's expressions
 (6 d1 and 5 d2 of the book moved by one ulp; every price and implied vol
-kept its bits) and the 0-d correction kernel its array squares.
+kept its bits) and the 0-d correction kernel its array squares, and once
+more when perturb_correction took numpy's log, as pert_price_grid does (one
+C1 of the book moved by 2 ulp; every total kept its bits).
 """
 
 import contextlib
@@ -236,5 +238,5 @@ def test_scalar_pricing_golden():
                      ["--kind", "call", "--strike", "80", "--days", "7", "--sigma", "0.3"]):
             assert cli.main(["price", *argv]) == 0
     assert _sha(out.tobytes() + stdout.getvalue().encode()) == (
-        "a49784dd084982233220bc7e492d7bcbc1af905aa4aff7098326bf44c61bafc6"
+        "b2df5f8708822cd44ae4bcaef0aca7f86dc6ba5400ff1b539ef2d83f5702a065"
     )
