@@ -6,11 +6,12 @@ Green's-function integral of the breaking operator applied to the symmetric
 solution; it is identical for calls and puts, so put prices follow from
 parity on the symmetric part.
 
-_black is the one Black-Scholes formula (the call, put parity and d1) and
-_vega the one vega.  Both run on Python floats and on numpy arrays alike.
-bs_price and implied_vol_array compute finite 0-d arguments (with spot,
-strike > 0 and tau >= 0) on floats, in _bs_float and _implied_vol_float,
-and anything else on arrays; the two paths give the same bits:
+_black is the one Black-Scholes formula (the call and d1), _put_parity the
+one put-call parity and _vega the one vega; each runs on Python floats and
+on numpy arrays alike.  bs_price and implied_vol_array compute finite 0-d
+arguments (with spot, strike > 0 and tau >= 0) on floats, in _bs_float and
+_implied_vol_float, and anything else on arrays; the two paths give the
+same bits:
 - Phi is normal_cdf, the program's only one: _ndtr_float, a pure-Python
   port of Cephes' ndtr (Moshier 1989), on floats, and scipy.special.ndtr,
   the routine it ports, on arrays of more than 2 elements.  scipy is
@@ -132,11 +133,11 @@ def normal_cdf(d):
 
     Inputs of at most 2 elements go to _ndtr_float; the split sits at 2
     because the IV_MIN/IV_MAX bracket of a one-contract inversion on the
-    numpy path (a 1-element array, or non-finite 0-d input) has 2.
-    Larger arrays go to scipy's ndtr: a numpy
-    port matches its bits only with exp taken in complex arithmetic, which
-    made it 7 times slower per element than scipy (2-vCPU VM, numpy 2.4).
-    Like scipy, returns np.float64 for 0-d input and a float array otherwise.
+    numpy path (a 1-element array, or non-finite 0-d input) has 2.  Larger
+    arrays go to scipy's ndtr: a numpy port matches its bits only with exp
+    taken in complex arithmetic, which made it 7 times slower per element
+    than scipy (2-vCPU VM, numpy 2.4).  Like scipy, returns np.float64 for
+    0-d input and a float array otherwise.
     """
     d = np.asarray(d, dtype=float)
     if d.size > 2:
@@ -174,6 +175,11 @@ def _black_terms(spot, strike, tau, r):
     return float(np.log(spot / strike)), strike * float(np.exp(-r * tau)), math.sqrt(tau)
 
 
+def _put_parity(call, spot, kdisc, kind):
+    """The call's price, or by put-call parity the put's."""
+    return call if kind == "call" else call - spot + kdisc
+
+
 def _black(sigma, spot, tau, r, kind, log_m, kdisc, sqrt_tau, cdf):
     """(price, d1) by the Black-Scholes formula, the one copy of it.
 
@@ -184,8 +190,7 @@ def _black(sigma, spot, tau, r, kind, log_m, kdisc, sqrt_tau, cdf):
     """
     stt = sigma * sqrt_tau
     d1 = (log_m + (r + 0.5 * (sigma * sigma)) * tau) / stt
-    call = spot * cdf(d1) - kdisc * cdf(d1 - stt)
-    return (call if kind == "call" else call - spot + kdisc), d1
+    return _put_parity(spot * cdf(d1) - kdisc * cdf(d1 - stt), spot, kdisc, kind), d1
 
 
 def _vega(spot_root, d1):
@@ -196,14 +201,13 @@ def _vega(spot_root, d1):
 def _bs_float(sigma, spot, tau, r, kind, log_m, kdisc, sqrt_tau):
     """(bs_price, d1) on Python floats; the terms come from _black_terms.
 
-    Where sigma * sqrt(tau) <= 0 the price is the discounted payoff: the
-    formula's limit as d1 = d2 goes to +inf (spot >= K e^{-r tau}) or -inf,
-    which _black gives, with that d1, at sigma = sqrt_tau = 1, tau = 0 and
-    log_m = +-inf.
+    Where sigma * sqrt(tau) <= 0 the price is the discounted payoff and
+    d1 = d2 is +inf (spot >= K e^{-r tau}) or -inf.
     """
-    if not sigma * sqrt_tau > 0:
-        sigma, tau, sqrt_tau, log_m = 1.0, 0.0, 1.0, math.inf if spot >= kdisc else -math.inf
-    return _black(sigma, spot, tau, r, kind, log_m, kdisc, sqrt_tau, _ndtr_float)
+    if sigma * sqrt_tau > 0:
+        return _black(sigma, spot, tau, r, kind, log_m, kdisc, sqrt_tau, _ndtr_float)
+    d1 = math.inf if spot >= kdisc else -math.inf
+    return _put_parity(max(spot - kdisc, 0.0), spot, kdisc, kind), d1
 
 
 def bs_price(spot, strike, tau, r, sigma, kind="call"):
@@ -225,9 +229,8 @@ def bs_price(spot, strike, tau, r, sigma, kind="call"):
     with np.errstate(divide="ignore", invalid="ignore"):
         out, _ = _black(sigma, spot, tau, r, kind, np.log(spot / strike), kdisc, sqrt_tau, normal_cdf)
         live = sigma * sqrt_tau > 0
-        if not live.all():  # the payoff, as in _bs_float
-            limit = np.where(spot >= kdisc, np.inf, -np.inf)
-            out = np.where(live, out, _black(1.0, spot, 0.0, r, kind, limit, kdisc, 1.0, normal_cdf)[0])
+        if not live.all():  # the discounted payoff, as in _bs_float
+            out = np.where(live, out, _put_parity(np.maximum(spot - kdisc, 0.0), spot, kdisc, kind))
     return out if out.ndim else float(out)
 
 
