@@ -9,7 +9,6 @@ from .analytic import (
     implied_vol_array,
     perturb_correction,
     price_mg,
-    price_symmetric,
 )
 from .calibration import CalibResult, Quote, QuoteSet, calibrate, ivrmse
 from .errors import (
@@ -24,9 +23,7 @@ from .errors import (
 )
 from .heatkernel import (
     QuadratureConfig,
-    apply_breaking_operator,
     heat_green,
-    psi0,
     psi1_closed_form,
     psi1_quadrature,
     reconstruct_psi0,
@@ -55,13 +52,12 @@ __version__ = "0.1.0"
 __all__ = [
     "PriceBreakdown", "bs_price", "bs_vega", "correction_root_variance",
     "implied_vol", "implied_vol_array", "perturb_correction", "price_mg",
-    "price_symmetric",
     "CalibResult", "Quote", "QuoteSet", "calibrate", "ivrmse",
     "DegenerateParams", "EmptyQuoteSet", "InvalidParams", "MgpertError",
     "NoConvergence", "NonpositiveVariance", "OutOfBounds",
     "QuadratureNotConverged",
-    "QuadratureConfig", "apply_breaking_operator", "heat_green", "psi0",
-    "psi1_closed_form", "psi1_quadrature", "reconstruct_psi0",
+    "QuadratureConfig", "heat_green", "psi1_closed_form", "psi1_quadrature",
+    "reconstruct_psi0",
     "McConfig", "McPrice", "TimeSeriesSpec", "generate_time_series",
     "price_option_mc", "price_surface_mc",
     "DerivedParams", "HeatCoords", "MgParams", "OptionSpec", "PerturbParams",

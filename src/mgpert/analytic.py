@@ -6,11 +6,11 @@ Green's-function integral of the breaking operator applied to the symmetric
 solution; it is identical for calls and puts, so put prices follow from
 parity on the symmetric part.
 
-_black is the one Black-Scholes formula (the call and d1), _put_parity the
+_d1 is the one d1, _black the one Black-Scholes formula, _put_parity the
 one put-call parity and _vega the one vega; each runs on Python floats and
-on numpy arrays alike.  bs_price and implied_vol_array compute finite 0-d
-arguments (with spot, strike > 0 and tau >= 0) on floats, in _bs_float and
-_implied_vol_float, and anything else on arrays; the two paths give the
+on numpy arrays alike.  The float kernels _bs_float and _implied_vol_float
+serve one contract, through price_mg and implied_vol; bs_price and
+implied_vol_array run numpy on any shape, 0-d included.  The two give the
 same bits:
 - Phi is normal_cdf, the program's only one: _ndtr_float, a pure-Python
   port of Cephes' ndtr (Moshier 1989), on floats, and scipy.special.ndtr,
@@ -24,7 +24,7 @@ same bits:
 - Squares are products.  numpy squares an array as x*x, but x**2 on a
   numpy scalar or a Python float is C pow, which can differ in the last bit.
 - Python float division raises where numpy gives inf or NaN, so the float
-  path divides only where sigma * sqrt(tau) > 0.
+  kernels divide only where sigma * sqrt(tau) > 0.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ IV_MAX = 5.0
 IV_PRICE_TOL = 1e-9
 IV_MAX_ITER = 100
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-_REALS = (float, int, np.floating, np.integer)
 
 
 @dataclass(frozen=True)
@@ -131,9 +130,9 @@ def _scipy_ndtr():
 def normal_cdf(d):
     """Standard normal CDF, bit-identical to scipy.special.ndtr.
 
-    Inputs of at most 2 elements go to _ndtr_float; the split sits at 2
-    because the IV_MIN/IV_MAX bracket of a one-contract inversion on the
-    numpy path (a 1-element array, or non-finite 0-d input) has 2.  Larger
+    Inputs of at most 2 elements go to _ndtr_float, so bs_price and
+    implied_vol_array on one contract import no scipy; the split sits at 2
+    because their IV_MIN/IV_MAX bracket on one contract has 2.  Larger
     arrays go to scipy's ndtr: a numpy port matches its bits only with exp
     taken in complex arithmetic, which made it 7 times slower per element
     than scipy (2-vCPU VM, numpy 2.4).  Like scipy, returns np.float64 for
@@ -147,29 +146,6 @@ def normal_cdf(d):
     return np.array([_ndtr_float(a) for a in d.ravel().tolist()]).reshape(d.shape)
 
 
-def _contract_floats(spot, strike, tau, *rest):
-    """The arguments as Python floats if the float paths can take them, else None.
-
-    They can when each is a finite 0-d real, spot and strike are > 0 with a
-    ratio whose log is finite, and tau >= 0: there the float arithmetic
-    neither raises nor warns where numpy's does not.
-    """
-    out = []
-    for a in (spot, strike, tau, *rest):
-        if isinstance(a, np.ndarray):
-            if a.ndim or a.dtype.kind not in "fiu":
-                return None
-        elif not isinstance(a, _REALS):
-            return None
-        a = float(a)
-        if not math.isfinite(a):
-            return None
-        out.append(a)
-    if out[0] > 0 and out[1] > 0 and out[2] >= 0 and 0.0 < out[0] / out[1] < math.inf:
-        return out
-    return None
-
-
 def _black_terms(spot, strike, tau, r):
     """The sigma-free terms (log S/K, K e^{-r tau}, sqrt tau) of a Black price, as floats."""
     return float(np.log(spot / strike)), strike * float(np.exp(-r * tau)), math.sqrt(tau)
@@ -180,16 +156,25 @@ def _put_parity(call, spot, kdisc, kind):
     return call if kind == "call" else call - spot + kdisc
 
 
+def _d1(sigma, tau, r, log_m, stt):
+    """Black-Scholes d1 from log(S/K) and stt = sigma sqrt(tau), the one copy of it.
+
+    Only entries with stt > 0 are meaningful; a float raises
+    ZeroDivisionError at 0.
+    """
+    return (log_m + (r + 0.5 * (sigma * sigma)) * tau) / stt
+
+
 def _black(sigma, spot, tau, r, kind, log_m, kdisc, sqrt_tau, cdf):
     """(price, d1) by the Black-Scholes formula, the one copy of it.
 
     Python floats take cdf = _ndtr_float and arrays cdf = normal_cdf.
     log_m, kdisc and sqrt_tau are log(S/K), K e^{-r tau} and sqrt(tau), as
     _black_terms computes them.  Only entries with sigma * sqrt(tau) > 0
-    are meaningful; a float raises ZeroDivisionError at 0.
+    are meaningful.
     """
     stt = sigma * sqrt_tau
-    d1 = (log_m + (r + 0.5 * (sigma * sigma)) * tau) / stt
+    d1 = _d1(sigma, tau, r, log_m, stt)
     return _put_parity(spot * cdf(d1) - kdisc * cdf(d1 - stt), spot, kdisc, kind), d1
 
 
@@ -213,16 +198,12 @@ def _bs_float(sigma, spot, tau, r, kind, log_m, kdisc, sqrt_tau):
 def bs_price(spot, strike, tau, r, sigma, kind="call"):
     """Black-Scholes price, vectorized; exact payoff at tau = 0 or sigma = 0.
 
-    Returns a float when every argument is 0-d.  Finite 0-d arguments are
-    priced on Python floats by _bs_float, others by numpy; both run _black,
-    so they give the same bits.  Raises InvalidParams unless kind is "call"
-    or "put".
+    Runs numpy on any shape and returns a float when every argument is 0-d.
+    _bs_float, price_mg's kernel, runs the same _black on Python floats and
+    gives the same bits.  Raises InvalidParams unless kind is "call" or
+    "put".
     """
     check_kind(kind)
-    args = _contract_floats(spot, strike, tau, r, sigma)
-    if args is not None:
-        spot, strike, tau, r, sigma = args
-        return _bs_float(sigma, spot, tau, r, kind, *_black_terms(spot, strike, tau, r))[0]
     spot, strike, tau, sigma = (np.asarray(a, dtype=float) for a in (spot, strike, tau, sigma))
     sqrt_tau = np.sqrt(tau)
     kdisc = strike * np.exp(-r * tau)
@@ -237,15 +218,11 @@ def bs_price(spot, strike, tau, r, sigma, kind="call"):
 def bs_vega(spot, strike, tau, r, sigma):
     """Black-Scholes vega dC/dsigma, vectorized; 0 where sigma * sqrt(tau) <= 0."""
     spot, sigma = np.asarray(spot, dtype=float), np.asarray(sigma, dtype=float)
-    sqrt_tau, kdisc = np.sqrt(tau), strike * np.exp(-r * tau)
+    sqrt_tau = np.sqrt(tau)
+    stt = sigma * sqrt_tau
     with np.errstate(divide="ignore", invalid="ignore"):
-        _, d1 = _black(sigma, spot, tau, r, "call", np.log(spot / strike), kdisc, sqrt_tau, normal_cdf)
-        return np.where(sigma * sqrt_tau > 0, _vega(spot * sqrt_tau, d1), 0.0)
-
-
-def price_symmetric(opt: OptionSpec, pert: PerturbParams, r: float) -> float:
-    """Symmetric-model price: Black-Scholes at sigma, put via parity."""
-    return bs_price(opt.spot, opt.strike, opt.tau_cal, r, pert.sigma, opt.kind)
+        d1 = _d1(sigma, tau, r, np.log(spot / strike), stt)
+        return np.where(stt > 0, _vega(spot * sqrt_tau, d1), 0.0)
 
 
 def correction_kernel(x, tau, variance, sigma, r2, r, log_strike=0.0):
@@ -317,10 +294,12 @@ def _price_bracket(spot, strike, tau, r, kind):
 def implied_vol(price: float, opt: OptionSpec, r: float) -> float:
     """Invert Black-Scholes for the volatility reproducing `price`.
 
-    implied_vol_array on one contract.  Raises OutOfBounds at tau_cal = 0 or
-    when the price is outside the no-arbitrage bracket, and NoConvergence
-    where implied_vol_array gives NaN: the price needs a volatility above
-    IV_MAX, or the inversion reached IV_MAX_ITER iterations.
+    implied_vol_array on one contract, run on Python floats by
+    _implied_vol_float with the same bits.  Raises OutOfBounds at
+    tau_cal = 0 or when the price is outside the no-arbitrage bracket, and
+    NoConvergence where the inversion gives NaN: the price needs a
+    volatility above IV_MAX, or the inversion reached IV_MAX_ITER
+    iterations.
     """
     if opt.tau_cal <= 0:
         raise OutOfBounds("tau_cal must be > 0 for implied volatility")
@@ -329,7 +308,9 @@ def implied_vol(price: float, opt: OptionSpec, r: float) -> float:
         raise OutOfBounds(
             f"price {price} outside no-arbitrage range [{lo_bound}, {hi_bound})"
         )
-    sigma = float(implied_vol_array(price, opt.spot, opt.strike, opt.tau_cal, r, opt.kind))
+    sigma = _implied_vol_float(
+        float(price), float(opt.spot), float(opt.strike), float(opt.tau_cal), float(r), opt.kind
+    )
     if math.isnan(sigma):
         raise NoConvergence(
             f"no volatility in [{IV_MIN}, {IV_MAX}] reproduces price {price} "
@@ -380,16 +361,12 @@ def implied_vol_array(prices, spot, strikes, tau, r, kind="call"):
     needs a volatility above IV_MAX, and one still outside the tolerance
     after IV_MAX_ITER iterations.
 
-    Finite 0-d arguments are inverted on Python floats by
-    _implied_vol_float, others by numpy; the two paths give the same bits
-    (see the module docstring), and 0-d input gives a 0-d array either way.
-    Raises InvalidParams unless kind is "call" or "put".
+    Runs numpy on any shape; 0-d input gives a 0-d array.
+    _implied_vol_float, implied_vol's kernel, runs the same loop on Python
+    floats and gives the same bits (see the module docstring).  Raises
+    InvalidParams unless kind is "call" or "put".
     """
     check_kind(kind)
-    args = _contract_floats(spot, strikes, tau, r, prices)
-    if args is not None:
-        spot, strikes, tau, r, prices = args
-        return np.array(_implied_vol_float(prices, spot, strikes, tau, r, kind))
     prices = np.asarray(prices, dtype=float)
     spot, strikes, prices = np.broadcast_arrays(
         np.asarray(spot, dtype=float), np.asarray(strikes, dtype=float), prices

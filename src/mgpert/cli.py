@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import math
 import os
 import sys
@@ -33,10 +32,11 @@ from .experiments import (
     DATASETS,
     run_static_experiment,
     run_timeseries_experiment,
+    write_csv,
     write_static_report,
     write_timeseries_report,
 )
-from .heatkernel import QuadratureConfig, breaking_operator_grid, psi0, psi1_quadrature
+from .heatkernel import QuadratureConfig, breaking_operator_grid, psi0_grid, psi1_quadrature
 from .mc import DAYS_PER_YEAR, McConfig, TimeSeriesSpec, price_option_mc
 from .params import (
     MgParams,
@@ -209,7 +209,7 @@ def cmd_oracle_check(ns) -> int:
             opt = OptionSpec(spot=spot, strike=m * spot, tau_cal=ns.days / DAYS_PER_YEAR,
                              kind="call", variance=float(v))
             hc = to_heat_coords(opt, pert)
-            p0 = psi0(hc, deriv).value
+            p0 = float(psi0_grid(hc.x, hc.y, hc.tau, deriv))
             p1 = psi1_quadrature(hc, mg, pert, deriv, qcfg)
             bd = price_mg(opt, mg, pert)
             c1_quad = opt.strike * tilt(hc, deriv) * p1
@@ -228,16 +228,13 @@ def cmd_oracle_check(ns) -> int:
             rows.append([fmt_float(hc.x), fmt_float(hc.y), fmt_float(hc.tau),
                          fmt_float(p0), fmt_float(p1), fmt_float(bd.c1), fmt_float(err)])
 
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["x", "y", "tau", "psi0", "psi1_quad", "c1_closed_form", "abs_err"])
-    writer.writerows(rows)
+    header = ["x", "y", "tau", "psi0", "psi1_quad", "c1_closed_form", "abs_err"]
     if ns.out:
-        with open(ns.out, "w", newline="", encoding="utf-8") as fh:
-            fh.write(f"# config {config_hash(ns)}\n")
-            fh.write(buf.getvalue())
+        write_csv(ns.out, header, rows, f"config {config_hash(ns)}")
     else:
-        sys.stdout.write(buf.getvalue())
+        writer = csv.writer(sys.stdout)
+        writer.writerow(header)
+        writer.writerows(rows)
     status = "PASS" if n_fail == 0 else "FAIL"
     max_abs = np.max(errs)  # NaN propagates, unlike the builtin max
     print(f"oracle-check {status}: {len(rows)} points, max_abs_err={max_abs:.3e}, "

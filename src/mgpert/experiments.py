@@ -15,7 +15,7 @@ import concurrent.futures
 import csv
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .errors import InvalidParams
 from .mc import (
     DAYS_PER_YEAR,
     McConfig,
+    PanelRow,
     TimeSeriesSpec,
     generate_time_series,
     price_surface_mc,
@@ -250,7 +251,8 @@ def run_timeseries_experiment(
     )
 
 
-def _write_csv(path, header, rows, config_comment=None):
+def write_csv(path, header, rows, config_comment=None):
+    """CSV file with an optional '# <config_comment>' first line; the one writer of reports."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if config_comment:
             fh.write(f"# {config_comment}\n")
@@ -259,9 +261,20 @@ def _write_csv(path, header, rows, config_comment=None):
         writer.writerows(rows)
 
 
+def write_panel_csv(rows, path, config_comment=None):
+    """generate_time_series's panel, one line per PanelRow; floats by repr."""
+    columns = [f.name for f in fields(PanelRow)]
+    write_csv(
+        path,
+        columns,
+        ([r.path_id, r.obs_index, *(repr(getattr(r, c)) for c in columns[2:])] for r in rows),
+        config_comment,
+    )
+
+
 def write_static_report(report: StaticReport, out_dir, config_comment=None):
     os.makedirs(out_dir, exist_ok=True)
-    _write_csv(
+    write_csv(
         os.path.join(out_dir, "table1.csv"),
         ["v_init", "sigma_hat", "ivrmse"],
         [[repr(r.v_init), repr(r.sigma_hat), repr(r.ivrmse)] for r in report.rows],
@@ -274,7 +287,7 @@ def write_static_report(report: StaticReport, out_dir, config_comment=None):
                 cur.moneyness, cur.log_price_diff, cur.iv_mc, cur.iv_pert, cur.c1_ratio
             )
         ]
-        _write_csv(
+        write_csv(
             os.path.join(out_dir, f"figure_v{cur.v_init:g}.csv"),
             ["moneyness", "log_price_diff", "iv_mc", "iv_pert", "c1_ratio"],
             rows,
@@ -284,7 +297,7 @@ def write_static_report(report: StaticReport, out_dir, config_comment=None):
 
 def write_timeseries_report(report: TimeSeriesReport, out_dir, config_comment=None):
     os.makedirs(out_dir, exist_ok=True)
-    _write_csv(
+    write_csv(
         os.path.join(out_dir, "table2.csv"),
         ["dataset", "param", "true", "mean", "bias", "std"],
         [
@@ -293,7 +306,7 @@ def write_timeseries_report(report: TimeSeriesReport, out_dir, config_comment=No
         ],
         config_comment,
     )
-    _write_csv(
+    write_csv(
         os.path.join(out_dir, "table3.csv"),
         ["dataset", "ivrmse_mean", "ivrmse_std"],
         [[report.dataset, repr(report.ivrmse_mean), repr(report.ivrmse_std)]],

@@ -43,16 +43,6 @@ from .params import DerivedParams, HeatCoords, MgParams, PerturbParams, tilt
 
 
 @dataclass(frozen=True)
-class Psi0Eval:
-    """Value of the symmetric solution at a heat-coordinate point."""
-
-    value: float
-    x: float
-    y: float
-    tau: float
-
-
-@dataclass(frozen=True)
 class QuadratureConfig:
     """Controls for the triple-integral quadrature.
 
@@ -108,11 +98,6 @@ def psi0_grid(x, y, tau, deriv: DerivedParams):
         np.exp(0.5 * (r1 + 1.0) * x) - np.exp(0.5 * (r1 - 1.0) * x), 0.0
     )
     return np.where(tau > 0, interior, boundary)
-
-
-def psi0(coords: HeatCoords, deriv: DerivedParams) -> Psi0Eval:
-    value = float(psi0_grid(coords.x, coords.y, coords.tau, deriv))
-    return Psi0Eval(value=value, x=coords.x, y=coords.y, tau=coords.tau)
 
 
 def heat_green(x, y, tau, xp, yp, t):
@@ -195,24 +180,6 @@ def breaking_operator_grid(
         if c:
             out = out + c * coef(y) * bracket(*f)
     return out
-
-
-def apply_breaking_operator(
-    coords: HeatCoords,
-    mg: MgParams,
-    pert: PerturbParams,
-    deriv: DerivedParams,
-    c1: float = 1.0,
-    c2: float = 1.0,
-    c3: float = 1.0,
-    c4: float = 1.0,
-    fd_step: float = 1e-4,
-) -> float:
-    return float(
-        breaking_operator_grid(
-            coords.x, coords.y, coords.tau, mg, pert, deriv, c1, c2, c3, c4, fd_step
-        )
-    )
 
 
 @functools.lru_cache(maxsize=16)

@@ -26,7 +26,6 @@ this module does not import scipy.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -52,18 +51,6 @@ def _philox(*words):
     padded = list(words) + [0] * (2 - len(words))
     key = np.array([w % 2**64 for w in padded], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-PANEL_COLUMNS = [
-    "path_id",
-    "obs_index",
-    "obs_time_years",
-    "v_true",
-    "maturity_days",
-    "strike",
-    "moneyness",
-    "mc_price",
-    "mc_std_error",
-]
 
 
 @dataclass(frozen=True)
@@ -119,10 +106,15 @@ class TimeSeriesSpec:
     )
 
     def __post_init__(self):
+        # maturity_step_count would price a maturity of 0 days or fewer as one step
+        if not self.maturities or not all(0 < m < math.inf for m in self.maturities):
+            raise InvalidParams(
+                f"maturities must be non-empty, finite and > 0, got {self.maturities}"
+            )
         if list(self.maturities) != sorted(self.maturities):
             raise InvalidParams("maturities must be sorted ascending")
-        if any(m <= 0 for m in self.moneyness):
-            raise InvalidParams("moneyness values must be positive")
+        if not all(0 < m < math.inf for m in self.moneyness):
+            raise InvalidParams(f"moneyness values must be finite and > 0, got {self.moneyness}")
         if self.n_sample_paths < 1 or self.n_obs < 1:
             raise InvalidParams("n_sample_paths and n_obs must be >= 1")
         _require_finite(self, "spot0", "v0_init", "obs_step_days")
@@ -548,25 +540,3 @@ def generate_time_series(spec: TimeSeriesSpec, mg: MgParams, seed: int = 0, path
             )
             s, v = float(s_arr[0]), float(v_arr[0])
     return rows
-
-
-def write_panel_csv(rows, path, config_comment: str | None = None):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if config_comment:
-            fh.write(f"# {config_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(PANEL_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.path_id,
-                    row.obs_index,
-                    repr(row.obs_time_years),
-                    repr(row.v_true),
-                    repr(row.maturity_days),
-                    repr(row.strike),
-                    repr(row.moneyness),
-                    repr(row.mc_price),
-                    repr(row.mc_std_error),
-                ]
-            )

@@ -22,7 +22,6 @@ from mgpert.analytic import (
 from mgpert.calibration import pert_price_grid
 from mgpert.experiments import run_static_experiment, run_timeseries_experiment
 from mgpert.heatkernel import (
-    apply_breaking_operator,
     breaking_operator_grid,
     heat_residual,
     psi1_closed_form,
@@ -172,8 +171,7 @@ class TestAcceptance:
             return psi1_closed_form(HeatCoords(x, y, tau), pert, deriv)
 
         def src(x, y, tau):
-            return -apply_breaking_operator(
-                HeatCoords(x, y, tau), mg, pert, deriv, 1, 0, 0, 0)
+            return -float(breaking_operator_grid(x, y, tau, mg, pert, deriv, 1, 0, 0, 0))
 
         h = 1e-3
         orders = []

@@ -8,6 +8,7 @@ from mgpert import analytic
 from mgpert.analytic import (
     _black_terms,
     _bs_float,
+    _implied_vol_float,
     bs_price,
     bs_vega,
     correction_kernel,
@@ -17,7 +18,6 @@ from mgpert.analytic import (
     normal_cdf,
     perturb_correction,
     price_mg,
-    price_symmetric,
 )
 from mgpert.errors import InvalidParams, NoConvergence, OutOfBounds
 from mgpert.params import MgParams, OptionSpec, PerturbParams, derive_params
@@ -132,6 +132,12 @@ class TestBsPrice:
             (up - dn) / (2 * h), rel=1e-6
         )
 
+    def test_vega_prices_nothing(self, monkeypatch):
+        # vega needs d1 alone; it used to price the call through normal_cdf too
+        monkeypatch.setattr(analytic, "normal_cdf", _no_array_cdf)
+        vega = bs_vega(100.0, np.array([90.0, 105.0, 120.0]), 0.5, 0.02, np.array([0.3, 0.0, 0.3]))
+        assert vega[1] == 0.0 and (vega[[0, 2]] > 0).all()
+
 
 class TestPerturbCorrection:
     def test_frozen_scenario_value(self, scn_mg, scn_pert, scn_deriv):
@@ -214,7 +220,7 @@ class TestPriceMg:
     def test_c0_is_symmetric_price(self, scn_mg, scn_pert):
         opt = OptionSpec(spot=102.0, strike=100.0, tau_cal=0.1, variance=0.05)
         bd = price_mg(opt, scn_mg, scn_pert)
-        assert bd.c0 == pytest.approx(price_symmetric(opt, scn_pert, scn_mg.r))
+        assert bd.c0 == pytest.approx(bs_price(102.0, 100.0, 0.1, scn_mg.r, scn_pert.sigma))
 
     def test_d1_is_the_one_that_priced_c0(self, scn_mg, scn_pert):
         # a seeded book of 1250 call/put pairs: with math.log and sigma**2,
@@ -351,8 +357,9 @@ def _bits(x):
 
 
 class TestScalarPaths:
-    """Finite 0-d input takes the float paths of bs_price and implied_vol_array;
-    one- and three-element arrays take the numpy paths.  They give the same bits."""
+    """The float kernels _bs_float and _implied_vol_float, behind price_mg and
+    implied_vol, and bs_price and implied_vol_array on 0-d, one- and
+    three-element input give the same bits."""
 
     N_GROUPS = 7000  # of three contracts sharing tau, r and kind: one array call each
 
@@ -386,26 +393,18 @@ class TestScalarPaths:
             iv3 = implied_vol_array(prices[g], 100.0, strikes[g], t, rate, kind)
             for j in range(3):
                 k, s, p = (float(a[g, j]) for a in (strikes, sigma, prices))
+                bsf = _bs_float(s, 100.0, t, rate, kind, *_black_terms(100.0, k, t, rate))[0]
                 bs0 = bs_price(100.0, k, t, rate, s, kind)
                 bs1 = bs_price(100.0, np.array([k]), t, rate, np.array([s]), kind)
+                ivf = _implied_vol_float(p, 100.0, k, t, rate, kind)
                 iv0 = implied_vol_array(p, 100.0, k, t, rate, kind)
                 iv1 = implied_vol_array(np.array([p]), 100.0, np.array([k]), t, rate, kind)
                 assert type(bs0) is float and bs1.shape == (1,)
                 assert type(iv0) is np.ndarray and iv0.shape == () and iv0.dtype == float
-                if not (_bits(bs0) == _bits(bs1[0]) == _bits(bs3[j])
-                        and _bits(iv0) == _bits(iv1[0]) == _bits(iv3[j])):
+                if not (_bits(bsf) == _bits(bs0) == _bits(bs1[0]) == _bits(bs3[j])
+                        and _bits(ivf) == _bits(iv0) == _bits(iv1[0]) == _bits(iv3[j])):
                     bad.append((k, t, rate, s, p, kind))
         assert not bad, (len(bad), bad[:5])
-
-    @pytest.mark.parametrize("wrap", [np.float64, np.array])
-    def test_numpy_scalars_take_the_float_path(self, wrap, monkeypatch):
-        monkeypatch.setattr(analytic, "normal_cdf", _no_array_cdf)
-        args = (100.0, 105.0, 0.25, 0.01)
-        price = bs_price(*map(wrap, args), wrap(0.3), "put")
-        assert type(price) is float
-        assert price == bs_price(*args, 0.3, "put")
-        iv = implied_vol_array(wrap(price), *map(wrap, args), "put")
-        assert iv.shape == () and _bits(iv) == _bits(implied_vol_array(price, *args, "put"))
 
     @pytest.mark.parametrize("shape", [(), (1,), (3,)])
     def test_bracket_overflow_raises_on_both_paths(self, shape):
@@ -423,4 +422,4 @@ class TestScalarPaths:
 
 
 def _no_array_cdf(d):
-    raise AssertionError("a scalar was priced through normal_cdf")
+    raise AssertionError("normal_cdf was called")

@@ -31,7 +31,7 @@ from mgpert import cli
 from mgpert.analytic import IV_MIN, _price_bracket, bs_price, implied_vol, implied_vol_array, price_mg
 from mgpert.calibration import pert_price_grid
 from mgpert.errors import NoConvergence, OutOfBounds
-from mgpert.experiments import STATIC_MG, run_static_experiment, write_static_report
+from mgpert.experiments import STATIC_MG, run_static_experiment, write_panel_csv, write_static_report
 from mgpert.mc import (
     DAYS_PER_YEAR,
     McConfig,
@@ -40,7 +40,6 @@ from mgpert.mc import (
     simulate_euler,
     simulate_terminal,
     step_euler,
-    write_panel_csv,
 )
 from mgpert.params import MgParams, OptionSpec, PerturbParams
 

@@ -5,15 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from mgpert.analytic import correction_root_variance, perturb_correction, price_symmetric
+from mgpert.analytic import bs_price, correction_root_variance, perturb_correction
 from mgpert.errors import DegenerateParams, InvalidParams, QuadratureNotConverged
 from mgpert.heatkernel import (
     QuadratureConfig,
-    apply_breaking_operator,
     breaking_operator_grid,
     heat_green,
     heat_residual,
-    psi0,
     psi0_grid,
     psi1_closed_form,
     psi1_quadrature,
@@ -74,8 +72,8 @@ class TestPsi0:
             v = RNG.uniform(0.01, 0.3)
             opt = OptionSpec(spot=s, strike=k, tau_cal=tau_cal, variance=v)
             hc = to_heat_coords(opt, scn_pert)
-            lhs = k * tilt(hc, scn_deriv) * psi0(hc, scn_deriv).value
-            rhs = price_symmetric(opt, scn_pert, scn_mg.r)
+            lhs = k * tilt(hc, scn_deriv) * psi0_grid(hc.x, hc.y, hc.tau, scn_deriv)
+            rhs = bs_price(s, k, tau_cal, scn_mg.r, scn_pert.sigma)
             assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
 
     def test_y_dependence_factorizes(self, scn_deriv):
@@ -142,19 +140,8 @@ class TestBreakingOperator:
 
     def test_c3_vanishes_identically_at_alpha_one(self, scn_mg, scn_pert, scn_deriv):
         # at alpha=1, v0=1 the diffusion mismatch prefactor is xi^2 - xi0^2 = 0
-        got = apply_breaking_operator(
-            HeatCoords(0.1, -2.0, 0.005), scn_mg, scn_pert, scn_deriv, 0, 0, 1, 0
-        )
+        got = breaking_operator_grid(0.1, -2.0, 0.005, scn_mg, scn_pert, scn_deriv, 0, 0, 1, 0)
         assert got == 0.0
-
-    def test_c1_term_scalar_matches_grid(self, scn_mg, scn_pert, scn_deriv):
-        hc = HeatCoords(0.05, -2.4, 0.003)
-        scalar = apply_breaking_operator(hc, scn_mg, scn_pert, scn_deriv, 1, 0, 0, 0)
-        grid = breaking_operator_grid(
-            np.array([hc.x]), np.array([hc.y]), hc.tau, scn_mg, scn_pert, scn_deriv,
-            1, 0, 0, 0,
-        )
-        assert scalar == pytest.approx(float(grid[0]))
 
 
 class TestBreakingTermsVanishExactly:
@@ -184,7 +171,7 @@ class TestPsi0Reconstruction:
         for x, y, tau in [(0.0, -2.41, 0.0012), (0.1, -3.0, 0.003), (-0.1, -2.0, 0.002)]:
             hc = HeatCoords(x, y, tau)
             got = reconstruct_psi0(hc, scn_deriv)
-            expect = psi0(hc, scn_deriv).value
+            expect = float(psi0_grid(x, y, tau, scn_deriv))
             assert got == pytest.approx(expect, rel=1e-5)
 
 
@@ -266,8 +253,8 @@ class TestPsi1:
             return psi1_closed_form(HeatCoords(x, y, tau), scn_pert, scn_deriv)
 
         def source(x, y, tau):
-            return -apply_breaking_operator(
-                HeatCoords(x, y, tau), scn_mg, scn_pert, scn_deriv, 1, 0, 0, 0
+            return -float(
+                breaking_operator_grid(x, y, tau, scn_mg, scn_pert, scn_deriv, 1, 0, 0, 0)
             )
 
         pts = [(0.05, -2.4, 0.02), (0.0, -2.0, 0.03), (-0.1, -3.0, 0.025)]

@@ -16,6 +16,7 @@ from mgpert.experiments import (
     _path_quote_set,
     run_static_experiment,
     run_timeseries_experiment,
+    write_panel_csv,
 )
 from mgpert.mc import (
     DAYS_PER_YEAR,
@@ -30,7 +31,6 @@ from mgpert.mc import (
     simulate_euler,
     simulate_terminal,
     step_euler,
-    write_panel_csv,
 )
 from mgpert.params import MgParams, OptionSpec
 
@@ -394,11 +394,21 @@ class TestTimeSeries:
         first = p.read_text().splitlines()[0]
         assert first == "# config deadbeef"
 
-    def test_spec_validation(self):
+    @pytest.mark.parametrize("name, value", [
+        ("maturities", (30, 7)),
+        # non-positive maturities were priced as one-step options
+        ("maturities", (-7, 30)),
+        ("maturities", (0, 30)),
+        ("maturities", ()),
+        ("maturities", (math.nan,)),
+        ("maturities", (30, math.inf)),
+        ("moneyness", (0.9, -1.0)),
+        ("moneyness", (0.9, math.nan)),
+        ("moneyness", (0.9, math.inf)),
+    ])
+    def test_spec_validation(self, name, value):
         with pytest.raises(InvalidParams):
-            TimeSeriesSpec(maturities=(30, 7))
-        with pytest.raises(InvalidParams):
-            TimeSeriesSpec(moneyness=(0.9, -1.0))
+            TimeSeriesSpec(**{name: value})
 
     @pytest.mark.parametrize("name, value", [
         (name, value)
