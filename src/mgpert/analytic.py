@@ -12,11 +12,10 @@ on numpy arrays alike.  The float kernels _bs_float and _implied_vol_float
 serve one contract, through price_mg and implied_vol; bs_price and
 implied_vol_array run numpy on any shape, 0-d included.  The two give the
 same bits:
-- Phi is normal_cdf, the program's only one: _ndtr_float, a pure-Python
-  port of Cephes' ndtr (Moshier 1989), on floats, and scipy.special.ndtr,
-  the routine it ports, on arrays of more than 2 elements.  scipy is
-  imported on the first such call, so pricing a contract never imports it
-  (about 0.3 s and 21 MB of a cold `mgpert price`).
+- Phi is _ndtr_float, a pure-Python port of Cephes' ndtr (Moshier 1989),
+  on floats, and normal_cdf, scipy.special.ndtr itself, on arrays.  scipy
+  is imported on the first normal_cdf call, so pricing a contract never
+  imports it (about 0.3 s and 21 MB of a cold `mgpert price`).
 - exp and log are numpy's, called on a Python float.  libm's math.exp and
   math.log differ from them in the last bit on 4.5% and 0.2% of normal
   draws with standard deviation 3.  (_price_bracket, which both paths
@@ -128,27 +127,25 @@ def _scipy_ndtr():
 
 
 def normal_cdf(d):
-    """Standard normal CDF, bit-identical to scipy.special.ndtr.
+    """Standard normal CDF on arrays: scipy.special.ndtr, imported on first use.
 
-    Inputs of at most 2 elements go to _ndtr_float, so bs_price and
-    implied_vol_array on one contract import no scipy; the split sits at 2
-    because their IV_MIN/IV_MAX bracket on one contract has 2.  Larger
-    arrays go to scipy's ndtr: a numpy port matches its bits only with exp
-    taken in complex arithmetic, which made it 7 times slower per element
-    than scipy (2-vCPU VM, numpy 2.4).  Like scipy, returns np.float64 for
-    0-d input and a float array otherwise.
+    A numpy port matches its bits only with exp taken in complex
+    arithmetic, which made it 7 times slower per element than scipy
+    (2-vCPU VM, numpy 2.4).
     """
-    d = np.asarray(d, dtype=float)
-    if d.size > 2:
-        return _scipy_ndtr()(d)
-    if d.ndim == 0:
-        return np.float64(_ndtr_float(float(d)))
-    return np.array([_ndtr_float(a) for a in d.ravel().tolist()]).reshape(d.shape)
+    return _scipy_ndtr()(d)
+
+
+def _log_moneyness(spot, strike):
+    """numpy's log(S/K) as a float; -inf where S/K underflows to 0, which
+    np.log would warn about (a branch: np.errstate costs microseconds)."""
+    ratio = spot / strike
+    return float(np.log(ratio)) if ratio else -math.inf
 
 
 def _black_terms(spot, strike, tau, r):
     """The sigma-free terms (log S/K, K e^{-r tau}, sqrt tau) of a Black price, as floats."""
-    return float(np.log(spot / strike)), strike * float(np.exp(-r * tau)), math.sqrt(tau)
+    return _log_moneyness(spot, strike), strike * float(np.exp(-r * tau)), math.sqrt(tau)
 
 
 def _put_parity(call, spot, kdisc, kind):
@@ -258,7 +255,7 @@ def perturb_correction(
     same bits.
     """
     return correction_kernel(
-        np.log(opt.spot / opt.strike), opt.tau_cal, opt.variance, pert.sigma, deriv.r2, r,
+        _log_moneyness(opt.spot, opt.strike), opt.tau_cal, opt.variance, pert.sigma, deriv.r2, r,
         np.log(opt.strike),
     )
 
@@ -303,15 +300,16 @@ def implied_vol(price: float, opt: OptionSpec, r: float) -> float:
     """
     if opt.tau_cal <= 0:
         raise OutOfBounds("tau_cal must be > 0 for implied volatility")
-    lo_bound, hi_bound = _price_bracket(opt.spot, opt.strike, opt.tau_cal, r, opt.kind)
-    if not lo_bound <= price < hi_bound:
-        raise OutOfBounds(
-            f"price {price} outside no-arbitrage range [{lo_bound}, {hi_bound})"
-        )
     sigma = _implied_vol_float(
         float(price), float(opt.spot), float(opt.strike), float(opt.tau_cal), float(r), opt.kind
     )
     if math.isnan(sigma):
+        # the inversion checked the bracket; recompute it only to name the failure
+        lo_bound, hi_bound = _price_bracket(opt.spot, opt.strike, opt.tau_cal, r, opt.kind)
+        if not lo_bound <= price < hi_bound:
+            raise OutOfBounds(
+                f"price {price} outside no-arbitrage range [{lo_bound}, {hi_bound})"
+            )
         raise NoConvergence(
             f"no volatility in [{IV_MIN}, {IV_MAX}] reproduces price {price} "
             f"within {IV_MAX_ITER} iterations"

@@ -154,7 +154,6 @@ def cmd_mc_price(ns) -> int:
     mg = _mg_from_ns(ns)
     opt = _opt_from_ns(ns)
     cfg = McConfig(n_paths=ns.paths, steps_per_day=ns.steps_per_day,
-                   antithetic=ns.antithetic, stratified=ns.stratified,
                    n_strata=ns.strata, seed=ns.seed)
     mp = price_option_mc(opt, mg, cfg)
     print(dump_json([
@@ -356,7 +355,7 @@ def build_parser():
     pert.add_argument("--v0", type=float, default=1.0, help="reference variance scale [1/year]")
     sampling = argparse.ArgumentParser(add_help=False)
     sampling.add_argument("--strata", type=int, default=50,
-                          help="number of equiprobable strata [count]")
+                          help="equiprobable first-step strata; must divide paths / 2 [count]")
     sampling.add_argument("--seed", type=int, default=0, help="random seed [integer]")
     study = argparse.ArgumentParser(add_help=False, parents=[sampling])
     study.add_argument("--steps-per-day", type=int, default=10,
@@ -369,10 +368,6 @@ def build_parser():
              [model, contract, sampling])
     p.add_argument("--paths", type=int, default=100_000, help="Monte Carlo paths [count]")
     p.add_argument("--steps-per-day", type=int, default=10, help="Euler steps per day [count]")
-    p.add_argument("--antithetic", type=_boolean, default=True,
-                   help="antithetic mirroring [true/false]")
-    p.add_argument("--stratified", type=_boolean, default=True,
-                   help="first-step stratification [true/false]")
 
     p = leaf(sub, "oracle-check", cmd_oracle_check,
              "quadrature vs closed-form correction on a scenario grid", [model, pert, maturity])

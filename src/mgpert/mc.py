@@ -1,9 +1,9 @@
 """Monte Carlo engines for the full two-factor model.
 
 Both engines discretise the variance the same way: Euler with full
-truncation (V replaced by max(V, 0) wherever it is consumed), antithetic
-mirroring, and equiprobable stratification of the first step's leading
-shock.
+truncation (V replaced by max(V, 0) wherever it is consumed).  They
+sample one way, with no switch: antithetic pairs, and equiprobable
+stratification of the first step's leading shock.
 
 - simulate_terminal, the conditional engine, simulates the variance only.
   Given one variance path, log S_T is Gaussian, so a path contributes the
@@ -57,30 +57,21 @@ def _philox(*words):
 class McConfig:
     n_paths: int
     steps_per_day: int = 10
-    antithetic: bool = True
-    stratified: bool = True
     n_strata: int = 50
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_paths < 2:
-            raise InvalidParams(f"n_paths must be >= 2, got {self.n_paths}")
-        if self.antithetic and self.n_paths % 2:
-            raise InvalidParams("n_paths must be even with antithetic sampling")
+        if self.n_paths < 2 or self.n_paths % 2:
+            raise InvalidParams(f"n_paths must be a positive even number, got {self.n_paths}")
         if self.steps_per_day < 1:
             raise InvalidParams(f"steps_per_day must be >= 1, got {self.steps_per_day}")
-        if self.stratified:
-            base = self.n_paths // 2 if self.antithetic else self.n_paths
-            if self.n_strata < 1 or base % self.n_strata:
-                raise InvalidParams(
-                    f"n_strata = {self.n_strata} must divide the "
-                    f"{base} independent draws"
-                )
+        if self.n_strata < 1 or self.n_base % self.n_strata:
+            raise InvalidParams(f"n_strata = {self.n_strata} must divide the {self.n_base} pairs")
 
     @property
     def n_base(self) -> int:
         """Independent draw count (antithetic partners are mirrored)."""
-        return self.n_paths // 2 if self.antithetic else self.n_paths
+        return self.n_paths // 2
 
 
 @dataclass(frozen=True)
@@ -186,18 +177,14 @@ def _stratified_normals(rng, n_strata, out):
 
 
 def _first_step_shocks(rng, cfg: McConfig, rho: float):
-    """Stratified/plain first-step shocks for the independent draws.
+    """Stratified first-step shocks for the independent draws.
 
     Stratification is equiprobable on the asset-shock uniform; the variance
     shock is built to carry correlation rho against it.
     """
     n = cfg.n_base
-    if cfg.stratified:
-        z_s = _stratified_normals(rng, cfg.n_strata, np.empty(n))
-        z_v = rho * z_s + math.sqrt(1.0 - rho**2) * rng.standard_normal(n)
-    else:
-        z_v = rng.standard_normal(n)
-        z_s = rho * z_v + math.sqrt(1.0 - rho**2) * rng.standard_normal(n)
+    z_s = _stratified_normals(rng, cfg.n_strata, np.empty(n))
+    z_v = rho * z_s + math.sqrt(1.0 - rho**2) * rng.standard_normal(n)
     return z_s, z_v
 
 
@@ -259,8 +246,7 @@ def simulate_terminal(
     maturity_steps = list(maturity_steps)
     n_steps = max(maturity_steps)
     n = cfg.n_base
-    halves = 2 if cfg.antithetic else 1
-    shape = (start.size, len(maturity_steps), halves * n)
+    shape = (start.size, len(maturity_steps), cfg.n_paths)
     if not start.size:  # no variance to advance: draw nothing
         return np.empty(shape), np.empty(shape)
     rho = mg.rho
@@ -269,9 +255,9 @@ def simulate_terminal(
         snap_at.setdefault(step, []).append(i)
 
     # axes (variance, row, half, base path): each half of a row is contiguous
-    v = np.empty((start.size, halves, n))
+    v = np.empty((start.size, 2, n))
     v[...] = start.reshape(-1, 1, 1)
-    forwards = np.empty((start.size, len(maturity_steps), halves, n))
+    forwards = np.empty((start.size, len(maturity_steps), 2, n))
     variances = np.empty_like(forwards)
     # the sums accumulate in the first row that snapshots the last step,
     # which is written last and in place
@@ -281,9 +267,9 @@ def simulate_terminal(
     sum_v.fill(0.0)
     z = np.empty(n)
     width = min(n, STEP_CHUNK)
-    v_plus, a = np.empty((halves, width)), np.empty((halves, width))
+    v_plus, a = np.empty((2, width)), np.empty((2, width))
     # J's factor per half: the antithetic half's J is stored negated
-    root_scale = np.array([[rho * math.sqrt(dt)], [-(rho * math.sqrt(dt))]])[:halves]
+    root_scale = np.array([[rho * math.sqrt(dt)], [-(rho * math.sqrt(dt))]])
 
     # every view a step or a snapshot uses, made once: per chunk of base
     # paths, then per variance
@@ -293,10 +279,7 @@ def simulate_terminal(
         vp, sc = v_plus[:, : min(width, n - c)], a[:, : min(width, n - c)]
         for j in range(start.size):
             vj, s_v, s_root = v[j, :, part], sum_v[j, :, part], sum_root[j, :, part]
-            shocks = [(np.add, vj[0], sc[0])]
-            if halves == 2:
-                shocks.append((np.subtract, vj[1], sc[1]))
-            step_views.append((vj, s_v, s_root, z[part], vp, sc, shocks))
+            step_views.append((vj, s_v, s_root, z[part], vp, sc, *vj, *sc))
             snap_views.append((s_v, s_root, sc, forwards[j, :, :, part], variances[j, :, :, part]))
 
     def snapshot(k):
@@ -314,19 +297,19 @@ def simulate_terminal(
     if 0 in snap_at:
         snapshot(0)
     for k in range(1, n_steps + 1):
-        if k == 1 and cfg.stratified:
+        if k == 1:
             _stratified_normals(rng, cfg.n_strata, z)
         else:
             rng.standard_normal(out=z)
-        for vj, s_v, s_root, zc, vp, sc, shocks in step_views:
+        for vj, s_v, s_root, zc, vp, sc, v_up, v_down, shock_up, shock_down in step_views:
             np.maximum(vj, 0.0, out=vp)
             np.add(s_v, vp, out=s_v)
             np.sqrt(vp, out=sc)
             np.multiply(sc, zc, out=sc)
             np.add(s_root, sc, out=s_root)
             _variance_drift_and_shock(vj, vp, dt, zc, mg, sc)
-            for op, half, shock in shocks:
-                op(half, shock, out=half)
+            np.add(v_up, shock_up, out=v_up)
+            np.subtract(v_down, shock_down, out=v_down)
         if k in snap_at:
             snapshot(k)
     forwards, variances = forwards.reshape(shape), variances.reshape(shape)
@@ -356,8 +339,7 @@ def simulate_euler(
         rng = _philox(cfg.seed)
     maturity_steps = list(maturity_steps)
     n_steps = max(maturity_steps)
-    n = cfg.n_base
-    m = n * 2 if cfg.antithetic else n
+    n, m = cfg.n_base, cfg.n_paths
 
     s = np.full(m, float(spot))
     v = np.full(m, float(variance))
@@ -376,9 +358,8 @@ def simulate_euler(
             z_s[:n], z_v[:n] = _first_step_shocks(rng, cfg, mg.rho)
         else:
             _step_shocks(rng, n, mg.rho, drawn)
-        if cfg.antithetic:
-            np.negative(z_s[:n], out=z_s[n:])
-            np.negative(z_v[:n], out=z_v[n:])
+        np.negative(z_s[:n], out=z_s[n:])
+        np.negative(z_v[:n], out=z_v[n:])
         step_euler(s, v, dt, z_s, z_v, mg, work)
         if k in snap_at:
             snapshots[snap_at[k]] = s
@@ -386,20 +367,14 @@ def simulate_euler(
 
 
 def _estimate(payoffs: np.ndarray, cfg: McConfig, discount: float) -> McPrice:
-    """Discounted mean with a variance estimate honoring the sampling design."""
-    if cfg.antithetic:
-        n = cfg.n_base
-        samples = 0.5 * (payoffs[:n] + payoffs[n:])
-    else:
-        samples = payoffs
+    """Discounted mean of the pair means; stratified SE unless strata hold one pair each."""
+    n = cfg.n_base
+    samples = 0.5 * (payoffs[:n] + payoffs[n:])
     est = discount * float(samples.mean())
-    if cfg.stratified:
-        per_stratum = samples.reshape(cfg.n_strata, -1)
-        n_i = per_stratum.shape[1]
-        if n_i > 1:
-            var = float(np.sum(per_stratum.var(axis=1, ddof=1) / n_i)) / cfg.n_strata**2
-        else:
-            var = float(samples.var(ddof=1)) / samples.size
+    per_stratum = samples.reshape(cfg.n_strata, -1)
+    n_i = per_stratum.shape[1]
+    if n_i > 1:
+        var = float(np.sum(per_stratum.var(axis=1, ddof=1) / n_i)) / cfg.n_strata**2
     else:
         var = float(samples.var(ddof=1)) / samples.size
     return McPrice(estimate=est, std_error=discount * math.sqrt(var), n_effective=samples.size)

@@ -238,6 +238,16 @@ class TestPriceMg:
                 assert (bd.c0, bd.d1) == (c0, d1)
                 assert bd.d2 == d1 - sigma * math.sqrt(tau)
 
+    @pytest.mark.filterwarnings("error")
+    def test_underflowing_moneyness_prices_without_warning(self, scn_mg, scn_pert):
+        # S/K underflows to 0: log S/K is -inf, and np.log(0.0) used to warn
+        opt = OptionSpec(spot=1e-300, strike=1e100, tau_cal=0.1, kind="put")
+        bd = price_mg(opt, scn_mg, scn_pert)
+        assert (bd.c0, bd.c1, bd.total) == (1e100, 0.0, 1e100)
+        assert bd.d1 == bd.d2 == -math.inf
+        with pytest.raises(OutOfBounds):
+            implied_vol(bd.total, opt, scn_mg.r)
+
     def test_d1_at_expiry_is_signed_infinity(self, scn_mg, scn_pert):
         for strike, sign in ((90.0, 1.0), (100.0, 1.0), (110.0, -1.0)):
             bd = price_mg(OptionSpec(spot=100.0, strike=strike, tau_cal=0.0), scn_mg, scn_pert)
@@ -271,6 +281,18 @@ class TestImpliedVol:
             implied_vol(101.0, opt, 0.0)  # above the spot bound
         with pytest.raises(OutOfBounds):
             implied_vol(-0.5, opt, 0.0)
+
+    def test_in_bracket_price_checks_the_bracket_once(self, monkeypatch):
+        bracket, calls = analytic._price_bracket, []
+
+        def counted(*args):
+            calls.append(args)
+            return bracket(*args)
+
+        monkeypatch.setattr(analytic, "_price_bracket", counted)
+        opt = OptionSpec(spot=100.0, strike=105.0, tau_cal=0.25)
+        assert implied_vol(bs_price(100.0, 105.0, 0.25, 0.0, 0.3), opt, 0.0) == pytest.approx(0.3)
+        assert len(calls) == 1
 
     def test_expiry_raises(self):
         opt = OptionSpec(spot=100.0, strike=100.0, tau_cal=0.0)

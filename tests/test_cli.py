@@ -51,7 +51,7 @@ def _run_python(code):
 
 def test_scalar_pricing_leaves_scipy_unloaded():
     # a contract is priced by analytic's pure-Python Phi; scipy.special's array
-    # Phi is imported by the first call with more than 2 elements
+    # Phi is imported by the first array price
     code = """
 import sys
 import mgpert, mgpert.cli
@@ -150,7 +150,7 @@ class TestMcPriceCommand:
         assert abs(out["estimate"] - ref) < 3 * out["std_error"]
 
     def test_antithetic_parity_violation(self):
-        p = run_cli("mc-price", "--paths", "3", "--antithetic", "true")
+        p = run_cli("mc-price", "--paths", "3")
         assert p.returncode == 2
 
 
@@ -298,7 +298,7 @@ class TestInProcessValidation:
     @given(st.sampled_from(CONFIG_CASES))
     @example((("price",), "spot", "abc"))
     @example((("mc-price",), "paths", "1.5"))
-    @example((("mc-price",), "antithetic", "maybe"))
+    @example((("mc-price",), "strata", "maybe"))
     @example((("experiment", "timeseries"), "full", "perhaps"))
     def test_malformed_config_value_exits_two(self, case):
         words, key, value = case
@@ -383,6 +383,14 @@ class TestInProcessValidation:
         out = tmp_path / "rep"
         assert cli.main(["experiment"] + argv + ["--out-dir", str(out)]) == cli.EXIT_VALIDATION
         assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["antithetic", "stratified"])
+    def test_sampling_switches_removed(self, key, tmp_path):
+        # the MC sampling design is fixed: antithetic pairs, stratified first step
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}=false\n")
+        for argv in ([f"--{key}", "false"], ["--config", str(cfg)]):
+            assert _exit_code(["mc-price", "--paths", "2000", *argv]) == cli.EXIT_VALIDATION
 
     def test_desk_scale_flag_removed(self):
         with pytest.raises(SystemExit) as exc:

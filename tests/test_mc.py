@@ -61,8 +61,8 @@ def worst_z(surface, reference):
 
 class TestMcConfig:
     def test_antithetic_parity(self):
-        with pytest.raises(InvalidParams):
-            McConfig(n_paths=3, antithetic=True)
+        with pytest.raises(InvalidParams, match="even"):
+            McConfig(n_paths=3)
 
     def test_strata_divisibility(self):
         with pytest.raises(InvalidParams):
@@ -70,7 +70,6 @@ class TestMcConfig:
 
     def test_n_base(self):
         assert McConfig(n_paths=1000, n_strata=50).n_base == 500
-        assert McConfig(n_paths=1000, antithetic=False, n_strata=50).n_base == 1000
 
 
 class TestEulerStep:
@@ -157,29 +156,31 @@ class TestPriceOptionMc:
         with pytest.raises(InvalidParams):
             price_option_mc(opt, FLAT_MG, McConfig(n_paths=1000, n_strata=50))
 
-    def test_antithetic_reduces_variance(self):
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_antithetic_pairs_reduce_variance(self, seed):
+        # partners' payoffs are negatively correlated, so a pair's mean varies
+        # less than the mean of two independent payoffs; a mirror that fails
+        # reads a correlation of +1, independent partners one near 0 (SE 0.02)
         mg = MgParams(kappa=1.5, theta=0.08, xi=1.5, rho=-0.5, alpha=1.0)
-        opt = OptionSpec(spot=100.0, strike=100.0, tau_cal=30 / 365, variance=0.09)
-        est_anti, est_plain = [], []
-        for seed in range(20):
-            a = price_option_mc(opt, mg, McConfig(
-                n_paths=4000, steps_per_day=2, seed=seed, stratified=False))
-            p = price_option_mc(opt, mg, McConfig(
-                n_paths=4000, steps_per_day=2, seed=seed + 1000,
-                antithetic=False, stratified=False))
-            est_anti.append(a.estimate)
-            est_plain.append(p.estimate)
-        assert np.var(est_anti) < np.var(est_plain)
+        cfg = McConfig(n_paths=4000, steps_per_day=2, seed=seed)
+        s_t = simulate_euler(100.0, 0.09, mg, cfg, [60], 1 / (DAYS_PER_YEAR * 2))[0]
+        payoff = np.maximum(s_t - 100.0, 0.0)
+        first, second = payoff[: cfg.n_base], payoff[cfg.n_base :]
+        assert float(np.corrcoef(first, second)[0, 1]) < -0.2
+        pair_mean = 0.5 * (first + second)
+        assert pair_mean.var(ddof=1) < 0.8 * payoff.var(ddof=1) / 2
 
-    def test_stratification_reduces_reported_error(self):
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_stratification_reduces_reported_error(self, seed):
         # single-step horizon: the stratified first step is the whole path,
-        # where equiprobable strata all but eliminate the sampling noise
-        opt = OptionSpec(spot=100.0, strike=100.0, tau_cal=1 / 365, variance=0.04)
-        cfg = dict(n_paths=50_000, steps_per_day=1, seed=2, antithetic=False,
-                   n_strata=100)
-        strat = price_option_mc(opt, FLAT_MG, McConfig(**cfg))
-        plain = price_option_mc(opt, FLAT_MG, McConfig(**cfg, stratified=False))
-        assert strat.std_error < 0.5 * plain.std_error
+        # where equiprobable strata all but eliminate the sampling noise that
+        # the plain standard error of the same pair means reports
+        cfg = McConfig(n_paths=50_000, steps_per_day=1, n_strata=100, seed=seed)
+        s_t = simulate_euler(100.0, 0.04, FLAT_MG, cfg, [1], 1 / DAYS_PER_YEAR)[0]
+        payoff = np.maximum(s_t - 100.0, 0.0)
+        pair_mean = 0.5 * (payoff[: cfg.n_base] + payoff[cfg.n_base :])
+        plain_se = pair_mean.std(ddof=1) / math.sqrt(cfg.n_base)
+        assert _estimate(payoff, cfg, 1.0).std_error < 0.5 * plain_se
 
 
 class TestSurface:
@@ -267,15 +268,11 @@ class TestSharedStream:
     """Several initial variances advanced on one draw stream."""
 
     @pytest.mark.parametrize("starts", [(0.0,), (0.1225, 0.0), (0.1225, 0.0625, 0.0, 0.01)])
-    @pytest.mark.parametrize("antithetic, stratified",
-                             [(True, True), (True, False), (False, True), (False, False)])
     @pytest.mark.parametrize("alpha", [1.0, 0.7])
     @pytest.mark.parametrize("explicit_rng", [False, True])
-    def test_each_variance_is_its_own_call(self, starts, antithetic, stratified, alpha,
-                                           explicit_rng, monkeypatch):
+    def test_each_variance_is_its_own_call(self, starts, alpha, explicit_rng, monkeypatch):
         mg = MgParams(kappa=1.5, theta=0.08, xi=1.5, rho=-0.5, alpha=alpha, r=0.02)
-        cfg = McConfig(n_paths=240, antithetic=antithetic, stratified=stratified,
-                       n_strata=10, seed=4)
+        cfg = McConfig(n_paths=240, n_strata=10, seed=4)
         steps = [0, 7, 3, 7]  # step 0, and the last step twice
 
         def simulate(variance):
@@ -297,12 +294,11 @@ class TestSharedStream:
             simulate_terminal(100.0, [[0.04]], STATIC_MG, McConfig(n_paths=100), [1], 0.01)
 
     @pytest.mark.parametrize("n_var", [1, 4])
-    @pytest.mark.parametrize("antithetic", [True, False])
-    def test_memory(self, n_var, antithetic):
+    def test_memory(self, n_var):
         # per variance the state and the two sums (the output rows), plus
-        # the draws (at most one path vector) and chunk-sized scratch; at
-        # 10^5 paths an extra path vector per variance would not fit
-        cfg = McConfig(n_paths=100_000, antithetic=antithetic, n_strata=50, seed=2)
+        # the draws (half a path vector) and chunk-sized scratch; at 10^5
+        # paths an extra path vector per variance would not fit
+        cfg = McConfig(n_paths=100_000, n_strata=50, seed=2)
         starts = 0.09 if n_var == 1 else [0.09] * n_var
         simulate_terminal(100.0, starts, STATIC_MG, cfg, [2], 1 / 3650)  # warm-up
         tracemalloc.start()
