@@ -268,11 +268,15 @@ class TestSharedStream:
     """Several initial variances advanced on one draw stream."""
 
     @pytest.mark.parametrize("starts", [(0.0,), (0.1225, 0.0), (0.1225, 0.0625, 0.0, 0.01)])
+    # 120 base paths: one stratum, strata of 12 and 5 that straddle the
+    # 32-path chunks, and one path per stratum
+    @pytest.mark.parametrize("n_strata", [1, 10, 24, 120])
     @pytest.mark.parametrize("alpha", [1.0, 0.7])
     @pytest.mark.parametrize("explicit_rng", [False, True])
-    def test_each_variance_is_its_own_call(self, starts, alpha, explicit_rng, monkeypatch):
+    def test_each_variance_is_its_own_call(self, starts, n_strata, alpha, explicit_rng,
+                                           monkeypatch):
         mg = MgParams(kappa=1.5, theta=0.08, xi=1.5, rho=-0.5, alpha=alpha, r=0.02)
-        cfg = McConfig(n_paths=240, n_strata=10, seed=4)
+        cfg = McConfig(n_paths=240, n_strata=n_strata, seed=4)
         steps = [0, 7, 3, 7]  # step 0, and the last step twice
 
         def simulate(variance):
