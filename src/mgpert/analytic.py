@@ -270,13 +270,14 @@ def correction_root_variance(pert: PerturbParams, deriv: DerivedParams, tau_cal:
 def price_mg(opt: OptionSpec, mg: MgParams, pert: PerturbParams) -> PriceBreakdown:
     """Full perturbative price C0 + C1 with the Black-Scholes arguments of C0.
 
-    C0 and d1 come from one _bs_float evaluation; at tau = 0, d1 = d2 is
-    +inf where spot >= strike and -inf below.
+    C0 and d1 come from one _bs_float evaluation, and C1 takes the same
+    log S/K; at tau = 0, d1 = d2 is +inf where spot >= strike and -inf below.
     """
     deriv = derive_params(mg, pert)
     log_m, kdisc, sqrt_tau = _black_terms(opt.spot, opt.strike, opt.tau_cal, mg.r)
     c0, d1 = _bs_float(pert.sigma, opt.spot, opt.tau_cal, mg.r, opt.kind, log_m, kdisc, sqrt_tau)
-    c1 = perturb_correction(opt, pert, deriv, mg.r)
+    c1 = correction_kernel(log_m, opt.tau_cal, opt.variance, pert.sigma, deriv.r2, mg.r,
+                           np.log(opt.strike))
     return PriceBreakdown(c0=c0, c1=c1, total=c0 + c1, d1=d1, d2=d1 - pert.sigma * sqrt_tau)
 
 

@@ -54,15 +54,6 @@ EXIT_DEGENERATE = 3
 EXIT_NO_CONVERGENCE = 4
 
 
-def _boolean(text):
-    t = str(text).strip().lower()
-    if t in ("true", "1", "yes", "on"):
-        return True
-    if t in ("false", "0", "no", "off"):
-        return False
-    raise argparse.ArgumentTypeError(f"expected true/false, got {text!r}")
-
-
 def fmt_float(x) -> str:
     """17 significant digits, enough to round-trip any double."""
     return f"{float(x):.17g}"
@@ -287,22 +278,9 @@ def cmd_timeseries(ns) -> int:
         raise InvalidParams(f"--dataset must be one of {sorted(DATASETS)}, got {ns.dataset}")
     if ns.threads < 1:
         raise InvalidParams(f"--threads must be >= 1, got {ns.threads}")
-    desk_scale = {"paths": 10_000, "sample_paths": 10, "obs": 12}
-    if ns.full and any(getattr(ns, key) is not None for key in desk_scale):
-        raise InvalidParams("--full sets the paths, sample paths and observations; "
-                            "give none of --paths, --sample-paths, --obs with it")
-    # unset scale flags take their desk-scale values, which the header hashes,
-    # under --full too
-    for key, value in desk_scale.items():
-        if getattr(ns, key) is None:
-            setattr(ns, key, value)
-    if ns.full:
-        sample_paths, obs, paths = 100, 52, 50_000
-    else:
-        sample_paths, obs, paths = ns.sample_paths, ns.obs, ns.paths
-    spec = TimeSeriesSpec(n_sample_paths=sample_paths, n_obs=obs,
-                          mc=McConfig(n_paths=paths, steps_per_day=ns.steps_per_day,
-                                      n_strata=ns.strata, seed=ns.seed))
+    spec = TimeSeriesSpec(n_sample_paths=ns.sample_paths, n_obs=ns.obs,
+                          mc=McConfig(n_paths=ns.paths, steps_per_day=ns.steps_per_day,
+                                      n_strata=ns.strata))
     _make_out_dir(ns.out_dir)
     report = run_timeseries_experiment(ns.dataset, spec=spec, seed=ns.seed,
                                        n_workers=ns.threads)
@@ -408,16 +386,12 @@ def build_parser():
     p = leaf(studies, "timeseries", cmd_timeseries,
              "Tables 2-3: fit each simulated weekly market path", [study])
     p.add_argument("--dataset", type=int, default=1, help="time-series data set id, 1-4")
-    p.add_argument("--paths", type=int,
-                   help="Monte Carlo paths per option; 10000 if unset [count]")
-    p.add_argument("--sample-paths", type=int,
-                   help="simulated market paths; 10 if unset [count]")
-    p.add_argument("--obs", type=int, help="weekly observations per path; 12 if unset [count]")
+    p.add_argument("--paths", type=int, default=10_000,
+                   help="Monte Carlo paths per option [count]")
+    p.add_argument("--sample-paths", type=int, default=10, help="simulated market paths [count]")
+    p.add_argument("--obs", type=int, default=12, help="weekly observations per path [count]")
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                    help="worker processes; must not change results [count]")
-    p.add_argument("--full", type=_boolean, nargs="?", const=True, default=False,
-                   help="100 paths x 52 obs x 5*10^4 sims; excludes --paths, "
-                        "--sample-paths and --obs")
 
     return parser, leaves
 

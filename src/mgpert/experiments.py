@@ -75,15 +75,14 @@ class StaticReport:
 
 
 def run_static_experiment(
-    mg: MgParams = STATIC_MG,
+    mc_cfg: McConfig,
     v_grid=STATIC_VOL_GRID,
     maturity_days: float = 30.0,
-    strike_grid=STATIC_MONEYNESS,
-    mc_cfg: McConfig | None = None,
     spot: float = 100.0,
 ) -> StaticReport:
     """Simulate, calibrate sigma, and report one row per volatility scenario.
 
+    The model is STATIC_MG and the strikes are STATIC_MONEYNESS times spot.
     v_grid entries are initial volatilities; the simulation starts the
     variance process at v^2.  The scenarios are simulated in one call, on
     one draw stream, and each is priced from its own paths: the same bits
@@ -91,9 +90,9 @@ def run_static_experiment(
     """
     if not 0.0 < maturity_days < math.inf:
         raise InvalidParams(f"maturity_days must be finite and > 0, got {maturity_days}")
-    mc_cfg = mc_cfg or McConfig(n_paths=500_000, steps_per_day=10, n_strata=50)
+    mg = STATIC_MG
     tau = maturity_days / DAYS_PER_YEAR
-    strikes = [m * spot for m in strike_grid]
+    strikes = [m * spot for m in STATIC_MONEYNESS]
     rows, curves, results = [], [], []
     starts = [v_init**2 for v_init in v_grid]
     paths = simulate_surface(spot, starts, [maturity_days], mg, mc_cfg)

@@ -8,11 +8,12 @@ stratification of the first step's leading shock.
 - simulate_terminal, the conditional engine, simulates the variance only.
   Given one variance path, log S_T is Gaussian, so a path contributes the
   Black price at its conditional forward and total variance (the mixing
-  estimator).  price_surface_mc and generate_time_series price with it, so
-  both experiments do.  It advances one initial variance or several on one
-  draw stream: the static experiment simulates all its scenarios in one
-  call, drawing each step's normals once (common random numbers), and each
-  scenario gets the bits a call of its own would give.
+  estimator).  Both experiments simulate with it through simulate_surface
+  and price the paths they get with price_surface_mc.  It advances one
+  initial variance or several on one draw stream: the static experiment
+  simulates all its scenarios in one call, drawing each step's normals
+  once (common random numbers), and each scenario gets the bits a call of
+  its own would give.
 - simulate_euler, the Euler reference, simulates (S, V) jointly.
   price_option_mc and `mgpert mc-price` use it, and the tests check the
   conditional engine against it.
@@ -28,12 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from .analytic import bs_price
 from .errors import InvalidParams
-from .params import MgParams, OptionSpec, _require_finite, check_kind
+from .params import MgParams, OptionSpec, check_kind
 
 DAYS_PER_YEAR = 365.0
 #: paths per bs_price call when pricing from the conditional engine
@@ -83,15 +85,16 @@ class McPrice:
 
 @dataclass(frozen=True)
 class TimeSeriesSpec:
-    """Layout of the simulated weekly option panel."""
+    """Layout of the simulated weekly option panel.  mc.seed is never read:
+    generate_time_series keys its streams by its own seed argument."""
 
+    spot0: ClassVar[float] = 100.0
+    obs_step_days: ClassVar[float] = 7.0
+    v0_init: ClassVar[float] = 0.0823
     n_sample_paths: int = 10
     n_obs: int = 12
-    obs_step_days: float = 7.0
     maturities: tuple = (7, 30, 60, 90, 120, 180)
     moneyness: tuple = tuple(np.round(np.linspace(0.9, 1.1, 10), 6))
-    spot0: float = 100.0
-    v0_init: float = 0.0823
     mc: McConfig = field(
         default_factory=lambda: McConfig(n_paths=10_000, steps_per_day=20)
     )
@@ -108,11 +111,6 @@ class TimeSeriesSpec:
             raise InvalidParams(f"moneyness values must be finite and > 0, got {self.moneyness}")
         if self.n_sample_paths < 1 or self.n_obs < 1:
             raise InvalidParams("n_sample_paths and n_obs must be >= 1")
-        _require_finite(self, "spot0", "v0_init", "obs_step_days")
-        if not (self.spot0 > 0 and self.obs_step_days > 0):
-            raise InvalidParams("spot0 and obs_step_days must be > 0")
-        if not self.v0_init >= 0:
-            raise InvalidParams(f"v0_init must be >= 0, got {self.v0_init}")
 
 
 def step_euler(s, v, dt, z_s, z_v, mg: MgParams, work=None):
@@ -323,7 +321,6 @@ def simulate_euler(
     cfg: McConfig,
     maturity_steps,
     dt: float,
-    rng=None,
 ):
     """Simulate all paths, snapshotting S at each requested step count.
 
@@ -335,8 +332,7 @@ def simulate_euler(
     draws come in the same order from the same stream as with freshly
     allocated arrays, so the output is bit-identical to that form.
     """
-    if rng is None:
-        rng = _philox(cfg.seed)
+    rng = _philox(cfg.seed)
     maturity_steps = list(maturity_steps)
     n_steps = max(maturity_steps)
     n, m = cfg.n_base, cfg.n_paths
@@ -415,7 +411,6 @@ def price_surface_mc(
     mg: MgParams,
     cfg: McConfig,
     kind: str = "call",
-    rng=None,
     paths=None,
 ):
     """Price a maturity x strike grid of options from one shared path set.
@@ -424,21 +419,20 @@ def price_surface_mc(
     the surface is what makes desk-scale path counts affordable; estimates
     for different contracts are correlated but individually unbiased.
 
-    The paths come from the conditional engine (simulate_surface; rng as
-    there), or are passed as paths = (forwards, variances), one contract
-    set's entry of a simulate_surface call on these maturities and cfg;
-    pricing overwrites those variances with their square roots.  A path's
-    payoff is its undiscounted Black price at (F, W), a put by parity on
-    that path (call - F + K).  bs_price runs on PRICE_CHUNK paths at a
-    time, so its temporaries stay small whatever the path count.  Raises
-    InvalidParams unless kind is "call" or "put", before any path is
-    simulated.
+    The paths are passed as paths = (forwards, variances), one contract
+    set's entry of a simulate_surface call on these maturities and cfg, or
+    simulate_surface makes them here on cfg.seed's stream; pricing
+    overwrites those variances with their square roots.  A path's payoff is
+    its undiscounted Black price at (F, W), a put by parity on that path
+    (call - F + K).  bs_price runs on PRICE_CHUNK paths at a time, so its
+    temporaries stay small whatever the path count.  Raises InvalidParams
+    unless kind is "call" or "put", before any path is simulated.
     """
     check_kind(kind)
     maturities_days = list(maturities_days)
     strikes = list(strikes)
     if paths is None:
-        paths = simulate_surface(spot, variance, maturities_days, mg, cfg, rng)
+        paths = simulate_surface(spot, variance, maturities_days, mg, cfg)
     forwards, variances = paths
     out = {}
     payoff = np.empty(forwards.shape[1])
@@ -491,7 +485,11 @@ def generate_time_series(spec: TimeSeriesSpec, mg: MgParams, seed: int = 0, path
             # pricing stream distinct from the state stream: different first
             # key word, second word packs (path, observation)
             rng = _philox(seed ^ 0x9E3779B97F4A7C15, (path_id << 32) | obs)
-            prices = price_surface_mc(s, v_plus, spec.maturities, strikes, mg, spec.mc, rng=rng)
+            # the paths are passed, not named, so they are freed once priced
+            prices = price_surface_mc(
+                s, v_plus, spec.maturities, strikes, mg, spec.mc,
+                paths=simulate_surface(s, v_plus, spec.maturities, mg, spec.mc, rng),
+            )
             for m_days in spec.maturities:
                 for money, strike in zip(spec.moneyness, strikes):
                     mp = prices[(m_days, strike)]

@@ -209,8 +209,11 @@ def to_heat_coords(opt: OptionSpec, pert: PerturbParams) -> HeatCoords:
         raise NonpositiveVariance(
             f"variance must be > 0 to form log(V/V0), got {opt.variance}"
         )
+    ratio = opt.spot / opt.strike
+    if not ratio:
+        raise InvalidParams(f"S/K = {opt.spot}/{opt.strike} underflows to 0; log S/K is -inf")
     return HeatCoords(
-        x=math.log(opt.spot / opt.strike),
+        x=math.log(ratio),
         y=math.log(opt.variance / pert.v0),
         tau=0.5 * pert.sigma ** 2 * opt.tau_cal,
     )

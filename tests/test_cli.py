@@ -1,5 +1,6 @@
 import json
 import math
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -214,16 +215,6 @@ class TestConfigFile:
         assert str(cfg) in p.stderr
         assert "Traceback" not in p.stderr
 
-    def test_full_false_is_false(self, tmp_path):
-        # a truthy "false" would clash with the scale keys and exit 2
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("full=false\nsample_paths=2\nobs=1\npaths=2000\n"
-                       "steps-per-day=2\nthreads=1\n")
-        out = tmp_path / "rep"
-        p = run_cli("experiment", "timeseries", "--config", str(cfg), "--out-dir", str(out))
-        assert p.returncode == 0, p.stderr
-        assert (out / "table3.csv").exists()
-
 
 class TestExperimentCommand:
     def test_invalid_dataset(self, tmp_path):
@@ -270,7 +261,7 @@ ORACLE_FLOAT_FLAGS = _float_flags(cli.cmd_oracle_check)
 
 # (command words, config key, malformed value) for every flag whose value is
 # parsed; --out and --out-dir take any path
-MALFORMED = {float: "abc", int: "1.5", cli._boolean: "maybe"}
+MALFORMED = {float: "abc", int: "1.5"}
 CONFIG_CASES = [
     (tuple(leaf.prog.split()[1:]), action.dest, MALFORMED.get(action.type, "sideways"))
     for leaf in LEAVES.values()
@@ -290,6 +281,32 @@ def _exit_code(argv):
         return exc.code
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_commands():
+    """Every `mgpert ...` line of the README's code blocks, continuations joined."""
+    commands, in_block = [], False
+    for line in README.read_text(encoding="utf-8").replace("\\\n", " ").splitlines():
+        if line.startswith("```"):
+            in_block = not in_block
+        elif in_block and line.startswith("mgpert "):
+            commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    # parsed, never run: a README that names a removed flag fails here
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == {"price", "mc-price", "oracle-check", "experiment"}
+    parser = cli.build_parser()[0]
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: mgpert {shlex.join(argv)}")
+
+
 class TestInProcessValidation:
     def test_float_flag_lists_cover_every_float_flag(self):
         assert len(PRICE_FLOAT_FLAGS) == 12
@@ -299,7 +316,7 @@ class TestInProcessValidation:
     @example((("price",), "spot", "abc"))
     @example((("mc-price",), "paths", "1.5"))
     @example((("mc-price",), "strata", "maybe"))
-    @example((("experiment", "timeseries"), "full", "perhaps"))
+    @example((("experiment", "timeseries"), "sample_paths", "1.5"))
     def test_malformed_config_value_exits_two(self, case):
         words, key, value = case
         with tempfile.TemporaryDirectory() as tmp:
@@ -355,19 +372,6 @@ class TestInProcessValidation:
         assert cli.main(argv) == cli.EXIT_VALIDATION
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("flag", [["--paths", "2000"], ["--sample-paths", "2"],
-                                      ["--obs", "1"]])
-    def test_full_rejects_scale_flags(self, flag, tmp_path):
-        argv = ["experiment", "timeseries", "--full", "--out-dir", str(tmp_path)] + flag
-        assert cli.main(argv) == cli.EXIT_VALIDATION
-
-    def test_full_rejects_scale_keys_from_config(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("obs=3\n")
-        argv = ["experiment", "timeseries", "--full", "--config", str(cfg),
-                "--out-dir", str(tmp_path)]
-        assert cli.main(argv) == cli.EXIT_VALIDATION
-
     @pytest.mark.parametrize("argv", [["timeseries", "--dataset", "9"],
                                       ["timeseries", "--paths", "3"],
                                       ["timeseries", "--threads", "0"],
@@ -391,6 +395,20 @@ class TestInProcessValidation:
         cfg.write_text(f"{key}=false\n")
         for argv in ([f"--{key}", "false"], ["--config", str(cfg)]):
             assert _exit_code(["mc-price", "--paths", "2000", *argv]) == cli.EXIT_VALIDATION
+
+    def test_full_preset_removed(self, tmp_path, monkeypatch):
+        # the paper scale is --sample-paths 100 --obs 52 --paths 50000
+        def no_study(*args, **kwargs):
+            raise AssertionError("ran the study")
+
+        monkeypatch.setattr(cli, "run_timeseries_experiment", no_study)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("full=true\n")
+        out = tmp_path / "rep"
+        for argv in (["--full"], ["--config", str(cfg)]):
+            argv = ["experiment", "timeseries", *argv, "--out-dir", str(out)]
+            assert _exit_code(argv) == cli.EXIT_VALIDATION
+        assert not out.exists()
 
     def test_desk_scale_flag_removed(self):
         with pytest.raises(SystemExit) as exc:
@@ -435,10 +453,11 @@ class TestConfigHash:
 
         monkeypatch.setattr(cli, "write_static_report", capture)
         monkeypatch.setattr(cli, "write_timeseries_report", capture)
-        for argv in (["static"], ["timeseries"], ["timeseries", "--full"]):
+        for argv in (["static"], ["timeseries"],
+                     ["timeseries", "--sample-paths", "100", "--obs", "52", "--paths", "50000"]):
             cli.main(["experiment", *argv, "--out-dir", str(tmp_path)])
-        assert headers == ["config 4ee2bbc3b5ed3b1e", "config 6d480b8728f78368",
-                           "config 5d9d94299a175d16"]
+        assert headers == ["config 4ee2bbc3b5ed3b1e", "config 6ac0f164d3edaad3",
+                           "config ae92748028b120ec"]
 
     def test_result_options_change_it(self):
         base = cli.config_hash(_resolved("experiment", "timeseries"))

@@ -410,18 +410,12 @@ class TestTimeSeries:
         with pytest.raises(InvalidParams):
             TimeSeriesSpec(**{name: value})
 
-    @pytest.mark.parametrize("name, value", [
-        (name, value)
-        for name in ("spot0", "obs_step_days", "v0_init")
-        for value in (math.nan, math.inf, -math.inf, 0.0, -1.0)
-        if (name, value) != ("v0_init", 0.0)
-    ])
-    def test_spec_rejects_bad_numbers(self, name, value):
-        with pytest.raises(InvalidParams):
-            TimeSeriesSpec(**{name: value})
-
-    def test_zero_initial_variance_accepted(self):
-        assert TimeSeriesSpec(v0_init=0.0).v0_init == 0.0
+    def test_start_state_is_fixed(self):
+        # the panel's start and observation step are constants, not arguments
+        for name in ("spot0", "obs_step_days", "v0_init"):
+            with pytest.raises(TypeError):
+                TimeSeriesSpec(**{name: 1.0})
+        assert TimeSeriesSpec().v0_init == 0.0823
 
     def test_selected_paths_match_full_panel(self):
         full = generate_time_series(self.SPEC, self.MG, seed=3)
@@ -455,7 +449,7 @@ class TestTimeSeries:
         monkeypatch.setattr(experiments, "simulate_surface", no_simulation)
         monkeypatch.setattr(mc, "simulate_terminal", no_simulation)
         with pytest.raises(InvalidParams, match="maturity_days"):
-            run_static_experiment(maturity_days=days)
+            run_static_experiment(McConfig(n_paths=1000), maturity_days=days)
 
     @pytest.mark.parametrize("n_workers", [0, -3])
     def test_timeseries_experiment_rejects_no_workers(self, n_workers):

@@ -126,6 +126,12 @@ class TestHeatCoords:
         with pytest.raises(NonpositiveVariance):
             to_heat_coords(opt, scn_pert)
 
+    def test_underflowing_moneyness_names_the_underflow(self, scn_pert):
+        # math.log(0.0) raises a bare ValueError, which the CLI does not map to an exit code
+        opt = OptionSpec(spot=1e-300, strike=1e100, tau_cal=0.1, kind="put", variance=0.04)
+        with pytest.raises(InvalidParams, match="underflows to 0"):
+            to_heat_coords(opt, scn_pert)
+
     def test_tilt_at_origin_is_one(self, scn_deriv):
         assert tilt(HeatCoords(x=0.0, y=0.0, tau=0.0), scn_deriv) == 1.0
 
