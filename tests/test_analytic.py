@@ -238,6 +238,18 @@ class TestPriceMg:
                 assert (bd.c0, bd.d1) == (c0, d1)
                 assert bd.d2 == d1 - sigma * math.sqrt(tau)
 
+    def test_c1_is_perturb_correction(self, scn_mg, scn_pert, scn_deriv):
+        # price_mg hands C0's log S/K to the kernel; perturb_correction takes its own
+        rng = np.random.default_rng(2)
+        book = zip((100.0 * rng.uniform(0.9, 1.1, 200)).tolist(),
+                   (rng.uniform(0.0, 180.0, 200) / 365.0).tolist(),
+                   rng.uniform(0.01, 0.1225, 200).tolist())
+        for k, tau, v in book:
+            for kind in ("call", "put"):
+                opt = OptionSpec(spot=100.0, strike=k, tau_cal=tau, kind=kind, variance=v)
+                assert price_mg(opt, scn_mg, scn_pert).c1 == perturb_correction(
+                    opt, scn_pert, scn_deriv, scn_mg.r)
+
     @pytest.mark.filterwarnings("error")
     def test_underflowing_moneyness_prices_without_warning(self, scn_mg, scn_pert):
         # S/K underflows to 0: log S/K is -inf, and np.log(0.0) used to warn

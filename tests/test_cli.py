@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from mgpert import cli
+from mgpert.mc import McConfig, TimeSeriesSpec
 
 CLI = [sys.executable, "-m", "mgpert.cli"]
 
@@ -295,16 +296,22 @@ def _readme_commands():
     return commands
 
 
-def test_readme_commands_parse():
+README_COMMANDS = _readme_commands()
+
+
+def test_readme_shows_every_command():
+    assert {argv[0] for argv in README_COMMANDS} == {"price", "mc-price", "oracle-check",
+                                                     "experiment"}
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS,
+                         ids=[f"{i}-{argv[0]}" for i, argv in enumerate(README_COMMANDS)])
+def test_readme_command_parses(argv):
     # parsed, never run: a README that names a removed flag fails here
-    commands = _readme_commands()
-    assert {argv[0] for argv in commands} == {"price", "mc-price", "oracle-check", "experiment"}
-    parser = cli.build_parser()[0]
-    for argv in commands:
-        try:
-            parser.parse_args(argv)
-        except SystemExit:
-            pytest.fail(f"README command does not parse: mgpert {shlex.join(argv)}")
+    try:
+        cli.build_parser()[0].parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"README command does not parse: mgpert {shlex.join(argv)}")
 
 
 class TestInProcessValidation:
@@ -396,7 +403,8 @@ class TestInProcessValidation:
         for argv in ([f"--{key}", "false"], ["--config", str(cfg)]):
             assert _exit_code(["mc-price", "--paths", "2000", *argv]) == cli.EXIT_VALIDATION
 
-    def test_full_preset_removed(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_full_preset_removed(self, source, tmp_path, monkeypatch):
         # the paper scale is --sample-paths 100 --obs 52 --paths 50000
         def no_study(*args, **kwargs):
             raise AssertionError("ran the study")
@@ -405,10 +413,38 @@ class TestInProcessValidation:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("full=true\n")
         out = tmp_path / "rep"
-        for argv in (["--full"], ["--config", str(cfg)]):
-            argv = ["experiment", "timeseries", *argv, "--out-dir", str(out)]
-            assert _exit_code(argv) == cli.EXIT_VALIDATION
+        argv = ["--full"] if source == "flag" else ["--config", str(cfg)]
+        argv = ["experiment", "timeseries", *argv, "--out-dir", str(out)]
+        assert _exit_code(argv) == cli.EXIT_VALIDATION
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, field", [("sample_paths", "n_sample_paths"),
+                                             ("obs", "n_obs"), ("paths", "n_paths")])
+    def test_timeseries_defaults_are_the_spec_defaults(self, flag, field):
+        # plain defaults: 10 sample paths, 12 observations, 10000 paths
+        spec = TimeSeriesSpec()
+        default = spec.mc.n_paths if field == "n_paths" else getattr(spec, field)
+        assert getattr(_resolved("experiment", "timeseries"), flag) == default
+
+    def test_timeseries_spec_ignores_seed(self, tmp_path, monkeypatch):
+        # the panel keys its streams by the seed argument, never by spec.mc.seed
+        class Captured(Exception):
+            pass
+
+        specs, seeds = [], []
+
+        def capture(dataset, spec, seed, n_workers):
+            specs.append(spec)
+            seeds.append(seed)
+            raise Captured
+
+        monkeypatch.setattr(cli, "run_timeseries_experiment", capture)
+        for seed in ("5", "6"):
+            with pytest.raises(Captured):
+                cli.main(["experiment", "timeseries", "--seed", seed, "--out-dir", str(tmp_path)])
+        assert specs[0] == specs[1] == TimeSeriesSpec(
+            mc=McConfig(n_paths=10_000, steps_per_day=10))
+        assert seeds == [5, 6]
 
     def test_desk_scale_flag_removed(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from mgpert.mc import (
     price_option_mc,
     price_surface_mc,
     simulate_euler,
+    simulate_surface,
     simulate_terminal,
     step_euler,
 )
@@ -230,6 +232,15 @@ class TestSurface:
         ref = bs_price(100.0, np.array(strikes), 30 / 365, 0.0, math.sqrt(FLAT_MG.theta), kind)
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
+    def test_given_paths_price_as_simulated_ones(self):
+        # both studies pass simulate_surface's paths; called without them, it simulates the same
+        mg = DATASETS[1]
+        cfg = McConfig(n_paths=400, steps_per_day=2, n_strata=20, seed=5)
+        maturities, strikes = [7.0, 30.0], [95.0, 100.0, 105.0]
+        paths = simulate_surface(100.0, 0.0823, maturities, mg, cfg)
+        assert price_surface_mc(100.0, 0.0823, maturities, strikes, mg, cfg, paths=paths) == \
+            price_surface_mc(100.0, 0.0823, maturities, strikes, mg, cfg)
+
     def test_unknown_kind_raises_before_simulating(self, monkeypatch):
         # any kind but "call" used to price puts
         def no_simulation(*args, **kwargs):
@@ -410,12 +421,24 @@ class TestTimeSeries:
         with pytest.raises(InvalidParams):
             TimeSeriesSpec(**{name: value})
 
-    def test_start_state_is_fixed(self):
+    @pytest.mark.parametrize("name", ["spot0", "obs_step_days", "v0_init"])
+    def test_start_state_is_not_an_argument(self, name):
         # the panel's start and observation step are constants, not arguments
-        for name in ("spot0", "obs_step_days", "v0_init"):
-            with pytest.raises(TypeError):
-                TimeSeriesSpec(**{name: 1.0})
-        assert TimeSeriesSpec().v0_init == 0.0823
+        with pytest.raises(TypeError):
+            TimeSeriesSpec(**{name: 1.0})
+
+    def test_start_state_constants(self):
+        spec = TimeSeriesSpec()
+        assert (spec.spot0, spec.obs_step_days, spec.v0_init) == (100.0, 7.0, 0.0823)
+        assert not {"spot0", "obs_step_days", "v0_init"} & {f.name for f in fields(spec)}
+
+    def test_panel_ignores_mc_seed(self):
+        # the streams are keyed by generate_time_series's seed argument
+        spec = TimeSeriesSpec(n_sample_paths=1, n_obs=2, maturities=(30,),
+                              moneyness=(0.95, 1.05),
+                              mc=McConfig(n_paths=200, steps_per_day=1, n_strata=10, seed=9))
+        assert generate_time_series(spec, self.MG, seed=3) == generate_time_series(
+            replace(spec, mc=replace(spec.mc, seed=0)), self.MG, seed=3)
 
     def test_selected_paths_match_full_panel(self):
         full = generate_time_series(self.SPEC, self.MG, seed=3)

@@ -132,6 +132,11 @@ class TestHeatCoords:
         with pytest.raises(InvalidParams, match="underflows to 0"):
             to_heat_coords(opt, scn_pert)
 
+    def test_subnormal_moneyness_keeps_math_log(self, scn_pert):
+        # only an S/K of exactly 0 is refused; the smallest positive ratio still maps
+        opt = OptionSpec(spot=5e-324, strike=1.0, tau_cal=0.1, variance=0.04)
+        assert to_heat_coords(opt, scn_pert).x == math.log(5e-324)
+
     def test_tilt_at_origin_is_one(self, scn_deriv):
         assert tilt(HeatCoords(x=0.0, y=0.0, tau=0.0), scn_deriv) == 1.0
 
