@@ -10,10 +10,11 @@ stratification of the first step's leading shock.
   Black price at its conditional forward and total variance (the mixing
   estimator).  Both experiments simulate with it through simulate_surface
   and price the paths they get with price_surface_mc.  It advances one
-  initial variance or several on one draw stream: the static experiment
-  simulates all its scenarios in one call, drawing each step's normals
-  once (common random numbers), and each scenario gets the bits a call of
-  its own would give.
+  initial (spot, variance) or several on one draw stream, drawing each
+  step's normals once (common random numbers), and each gets the bits a
+  call of its own would give.  The static experiment simulates all its
+  scenarios in one call; the time series simulates all the observations of
+  a sample path in one call, SURFACE_BYTES of paths at a time.
 - simulate_euler, the Euler reference, simulates (S, V) jointly.
   price_option_mc and `mgpert mc-price` use it, and the tests check the
   conditional engine against it.
@@ -42,6 +43,10 @@ DAYS_PER_YEAR = 365.0
 PRICE_CHUNK = 8192
 #: base paths per chunk of simulate_terminal's step (one chunk at 10^4 paths)
 STEP_CHUNK = 8192
+#: most bytes of (forwards, variances) that one of generate_time_series's
+#: simulations holds: a sample path's observations go this many bytes at a
+#: time, and at least one at a time
+SURFACE_BYTES = 32 * 2**20
 
 
 def _philox(*words):
@@ -200,7 +205,7 @@ def _step_shocks(rng, n, rho, out=None):
 
 
 def simulate_terminal(
-    spot: float,
+    spot,
     variance,
     mg: MgParams,
     cfg: McConfig,
@@ -222,8 +227,10 @@ def simulate_terminal(
     variance is one initial variance or a 1-D sequence of them.  For a
     sequence the outputs gain a leading axis, one entry per variance, and
     all variances advance on the same draws (common random numbers): each
-    step's normals are drawn once.  Each entry is bit-identical to a call
-    with that variance alone; a float is a sequence of one in the same loop.
+    step's normals are drawn once.  spot is one spot for every variance or
+    a 1-D sequence of the same length, one per variance.  Each entry is
+    bit-identical to a call with that spot and variance alone; a float is a
+    sequence of one in the same loop.
 
     Each step draws one normal per base path (stratified on the first
     step).  The antithetic half is not mirrored into a second draw array:
@@ -241,6 +248,13 @@ def simulate_terminal(
     start = np.asarray(variance, dtype=float)
     if start.ndim > 1:
         raise InvalidParams(f"variance must be a float or a 1-D sequence, got shape {start.shape}")
+    spots = np.asarray(spot, dtype=float)
+    if spots.ndim and spots.shape != start.shape:
+        raise InvalidParams(
+            f"spot must be a float or a 1-D sequence shaped like variance {start.shape}, "
+            f"got shape {spots.shape}"
+        )
+    spots = np.broadcast_to(spots, start.shape).reshape(-1).tolist()
     maturity_steps = list(maturity_steps)
     n_steps = max(maturity_steps)
     n = cfg.n_base
@@ -278,11 +292,13 @@ def simulate_terminal(
         for j in range(start.size):
             vj, s_v, s_root = v[j, :, part], sum_v[j, :, part], sum_root[j, :, part]
             step_views.append((vj, s_v, s_root, z[part], vp, sc, *vj, *sc))
-            snap_views.append((s_v, s_root, sc, forwards[j, :, :, part], variances[j, :, :, part]))
+            snap_views.append((s_v, s_root, sc, forwards[j, :, :, part], variances[j, :, :, part],
+                               spots[j]))
 
     def snapshot(k):
-        growth = spot * math.exp(mg.r * k * dt)
-        for s_v, s_root, sc, fw, var in snap_views:
+        drift = math.exp(mg.r * k * dt)
+        for s_v, s_root, sc, fw, var, spot_j in snap_views:
+            growth = spot_j * drift
             for i in reversed(snap_at[k]):
                 f, w = fw[i], var[i]
                 np.multiply(s_root, root_scale, out=f)
@@ -394,10 +410,10 @@ def price_option_mc(opt: OptionSpec, mg: MgParams, cfg: McConfig) -> McPrice:
     return _estimate(payoff, cfg, math.exp(-mg.r * opt.tau_cal))
 
 
-def simulate_surface(spot: float, variance, maturities_days, mg: MgParams, cfg: McConfig, rng=None):
+def simulate_surface(spot, variance, maturities_days, mg: MgParams, cfg: McConfig, rng=None):
     """simulate_terminal on the step grid of a surface: one snapshot per
-    maturity in days, at cfg.steps_per_day steps a day.  variance and rng
-    as there, so a sequence of variances shares one draw stream."""
+    maturity in days, at cfg.steps_per_day steps a day.  spot, variance and
+    rng as there, so a sequence of variances shares one draw stream."""
     steps = [maturity_step_count(m / DAYS_PER_YEAR, cfg.steps_per_day) for m in maturities_days]
     dt = 1.0 / (DAYS_PER_YEAR * cfg.steps_per_day)
     return simulate_terminal(spot, variance, mg, cfg, steps, dt, rng)
@@ -463,9 +479,17 @@ class PanelRow:
 def generate_time_series(spec: TimeSeriesSpec, mg: MgParams, seed: int = 0, paths=None):
     """Simulate the weekly observation panel of Monte Carlo option prices.
 
-    For every sample path: a weekly Euler trajectory of (S, V), and at each
-    observation the full maturity x moneyness grid priced by Monte Carlo
-    from the current (S, V+) state.  Deterministic given (spec, mg, seed).
+    For every sample path: a weekly Euler trajectory of (S, V) on the
+    path's state stream, and at each observation the full maturity x
+    moneyness grid priced by Monte Carlo from the current (S, V+) state.
+    Deterministic given (spec, mg, seed).
+
+    The states are known before any pricing, so one simulate_surface call
+    advances all of a path's observations on one pricing stream (common
+    random numbers): each observation gets the bits a call of its own on
+    that stream would give.  Observations go SURFACE_BYTES of paths at a
+    time, and each group restarts the stream, so the rows do not depend on
+    the grouping.
 
     paths lists the sample path ids to simulate (default: all of them).  A
     path's streams are keyed by (seed, path id) alone, so its rows are the
@@ -476,40 +500,49 @@ def generate_time_series(spec: TimeSeriesSpec, mg: MgParams, seed: int = 0, path
         raise InvalidParams(f"path ids must be in [0, {spec.n_sample_paths}), got {paths}")
     rows = []
     dt_obs = spec.obs_step_days / DAYS_PER_YEAR
+    surface_bytes = 2 * len(spec.maturities) * spec.mc.n_paths * 8
+    per_call = max(1, SURFACE_BYTES // surface_bytes)
     for path_id in paths:
         path_rng = _philox(seed, path_id)
         s, v = spec.spot0, spec.v0_init
-        for obs in range(spec.n_obs):
-            v_plus = max(v, 0.0)
-            strikes = [m * s for m in spec.moneyness]
-            # pricing stream distinct from the state stream: different first
-            # key word, second word packs (path, observation)
-            rng = _philox(seed ^ 0x9E3779B97F4A7C15, (path_id << 32) | obs)
-            # the paths are passed, not named, so they are freed once priced
-            prices = price_surface_mc(
-                s, v_plus, spec.maturities, strikes, mg, spec.mc,
-                paths=simulate_surface(s, v_plus, spec.maturities, mg, spec.mc, rng),
-            )
-            for m_days in spec.maturities:
-                for money, strike in zip(spec.moneyness, strikes):
-                    mp = prices[(m_days, strike)]
-                    rows.append(
-                        PanelRow(
-                            path_id=path_id,
-                            obs_index=obs,
-                            obs_time_years=obs * dt_obs,
-                            v_true=v_plus,
-                            maturity_days=float(m_days),
-                            strike=float(strike),
-                            moneyness=float(money),
-                            mc_price=mp.estimate,
-                            mc_std_error=mp.std_error,
-                        )
-                    )
-            # advance the weekly state with a single Euler step
+        spots, v_plus = [s], [max(v, 0.0)]
+        for _ in range(spec.n_obs - 1):  # the weekly state, one Euler step a week
             z_s, z_v = _step_shocks(path_rng, 1, mg.rho)
-            s_arr, v_arr = step_euler(
-                np.array([s]), np.array([v]), dt_obs, z_s, z_v, mg
-            )
+            s_arr, v_arr = step_euler(np.array([s]), np.array([v]), dt_obs, z_s, z_v, mg)
             s, v = float(s_arr[0]), float(v_arr[0])
+            spots.append(s)
+            v_plus.append(max(v, 0.0))
+        for first in range(0, spec.n_obs, per_call):
+            last = min(first + per_call, spec.n_obs)
+            # pricing stream distinct from the state stream: different first
+            # key word, the path id in the second word's high half
+            rng = _philox(seed ^ 0x9E3779B97F4A7C15, path_id << 32)
+            forwards, variances = simulate_surface(
+                spots[first:last], v_plus[first:last], spec.maturities, mg, spec.mc, rng
+            )
+            for j, obs in enumerate(range(first, last)):
+                strikes = [m * spots[obs] for m in spec.moneyness]
+                prices = price_surface_mc(
+                    spots[obs], v_plus[obs], spec.maturities, strikes, mg, spec.mc,
+                    paths=(forwards[j], variances[j]),
+                )
+                for m_days in spec.maturities:
+                    for money, strike in zip(spec.moneyness, strikes):
+                        mp = prices[(m_days, strike)]
+                        rows.append(
+                            PanelRow(
+                                path_id=path_id,
+                                obs_index=obs,
+                                obs_time_years=obs * dt_obs,
+                                v_true=v_plus[obs],
+                                maturity_days=float(m_days),
+                                strike=float(strike),
+                                moneyness=float(money),
+                                mc_price=mp.estimate,
+                                mc_std_error=mp.std_error,
+                            )
+                        )
+            # freed before the next group is simulated, so one group's
+            # paths are held at a time
+            del forwards, variances
     return rows

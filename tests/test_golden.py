@@ -19,7 +19,10 @@ more when perturb_correction took numpy's log, as pert_price_grid does (one
 C1 of the book moved by 2 ulp; every total kept its bits).  When the
 plain sampling designs were removed, alpha_half_rate moved from plain
 sampling to the default design; the hash of its new config was computed
-with the plain designs still in the code, and the removal kept it.
+with the plain designs still in the code, and the removal kept it.  The
+panel's hash was re-recorded (c38abbbe... to 3b10dd68...) when each sample
+path's observations moved onto one shared pricing stream: observation 0's
+rows kept their bits, and the later observations' prices moved.
 """
 
 import contextlib
@@ -107,7 +110,7 @@ def test_panel_csv_golden(tmp_path):
     path = tmp_path / "panel.csv"
     write_panel_csv(rows, path)
     assert _sha(path.read_bytes()) == (
-        "c38abbbe3e1f2f2aa926509308e87f9e28c46f9cdc162d48142166b3011675bc"
+        "3b10dd6844829637dfd633fc71cdf3be836a58b47c8bba831331140886a63671"
     )
 
 

@@ -290,23 +290,37 @@ class TestSharedStream:
         cfg = McConfig(n_paths=240, n_strata=n_strata, seed=4)
         steps = [0, 7, 3, 7]  # step 0, and the last step twice
 
-        def simulate(variance):
+        def simulate(spot, variance):
             rng = mc._philox(5, 1) if explicit_rng else None
-            return simulate_terminal(100.0, variance, mg, cfg, steps, 1 / 3650, rng)
+            return simulate_terminal(spot, variance, mg, cfg, steps, 1 / 3650, rng)
 
-        alone = [simulate(v) for v in starts]
+        # one spot for every variance, and one spot per variance
+        spots = [100.0 + 7.25 * j for j in range(len(starts))]
+        alone = [simulate(100.0, v) for v in starts]
+        alone_at_spot = [simulate(s, v) for s, v in zip(spots, starts)]
         # chunks of 32 base paths: several full ones and a partial last one
         monkeypatch.setattr(mc, "STEP_CHUNK", 32)
-        forwards, variances = simulate(list(starts))
-        assert forwards.shape == variances.shape == (len(starts), len(steps), cfg.n_paths)
-        for j, (f_alone, w_alone) in enumerate(alone):
-            assert forwards[j].tobytes() == f_alone.tobytes()
-            assert variances[j].tobytes() == w_alone.tobytes()
-        assert (forwards[:, 0] == 100.0).all() and (variances[:, 0] == 0.0).all()
+        for spot, singles in [(100.0, alone), (spots, alone_at_spot)]:
+            forwards, variances = simulate(spot, list(starts))
+            assert forwards.shape == variances.shape == (len(starts), len(steps), cfg.n_paths)
+            for j, (f_alone, w_alone) in enumerate(singles):
+                assert forwards[j].tobytes() == f_alone.tobytes()
+                assert variances[j].tobytes() == w_alone.tobytes()
+            assert (forwards[:, 0] == np.broadcast_to(spot, len(starts))[:, None]).all()
+            assert (variances[:, 0] == 0.0).all()
 
     def test_rejects_2d_variance(self):
         with pytest.raises(InvalidParams, match="1-D"):
             simulate_terminal(100.0, [[0.04]], STATIC_MG, McConfig(n_paths=100), [1], 0.01)
+
+    @pytest.mark.parametrize("spot, variance", [
+        ([100.0, 90.0], [0.04]),  # a spot per variance, one too many
+        ([100.0], 0.04),  # a spot sequence for one variance
+        ([[100.0]], [0.04]),  # a 2-D spot
+    ])
+    def test_rejects_spots_not_shaped_like_variance(self, spot, variance):
+        with pytest.raises(InvalidParams, match="spot"):
+            simulate_terminal(spot, variance, STATIC_MG, McConfig(n_paths=100), [1], 0.01)
 
     @pytest.mark.parametrize("n_var", [1, 4])
     def test_memory(self, n_var):
@@ -462,6 +476,102 @@ class TestTimeSeries:
             assert fit.ivrmse == ref.ivrmse
             assert fit.residuals.tobytes() == ref.residuals.tobytes()
             assert (fit.iterations, fit.n_evals) == (ref.iterations, ref.n_evals)
+
+    @staticmethod
+    def pricing_rng(seed, path_id):
+        """A path's pricing stream, keyed as observation 0's was when each
+        observation drew a stream of its own."""
+        return mc._philox(seed ^ 0x9E3779B97F4A7C15, path_id << 32)
+
+    @pytest.mark.parametrize("r", [0.0, 0.03])
+    def test_each_observation_is_its_own_simulation(self, r, monkeypatch):
+        spec, mg = replace(self.SPEC, n_obs=3), replace(self.MG, r=r)
+        calls = []
+        simulate = mc.simulate_surface
+
+        def tapped(*args):
+            forwards, variances = simulate(*args)
+            # copied: pricing overwrites the variances with their roots
+            calls.append((args[0], args[1], forwards.copy(), variances.copy()))
+            return forwards, variances
+
+        monkeypatch.setattr(mc, "simulate_surface", tapped)
+        rows = generate_time_series(spec, mg, seed=2)
+        monkeypatch.undo()
+        n_grid = len(spec.maturities) * len(spec.moneyness)
+        assert len(calls) == spec.n_sample_paths
+        for path_id, (spots, v_plus, forwards, variances) in enumerate(calls):
+            path_rows = [row for row in rows if row.path_id == path_id]
+            assert v_plus == [row.v_true for row in path_rows[::n_grid]]
+            assert [row.strike for row in path_rows[::n_grid]] == [
+                spec.moneyness[0] * s for s in spots]
+            for j, (s, v) in enumerate(zip(spots, v_plus)):
+                f, w = simulate_surface(s, v, spec.maturities, mg, spec.mc,
+                                        self.pricing_rng(2, path_id))
+                assert forwards[j].tobytes() == f.tobytes()
+                assert variances[j].tobytes() == w.tobytes()
+
+    def test_first_observation_prices_on_its_own_key(self):
+        # observation 0 keeps the key and the prices it had with a stream per surface
+        spec = self.SPEC
+        rows = generate_time_series(spec, self.MG, seed=2)
+        strikes = [m * spec.spot0 for m in spec.moneyness]
+        for path_id in range(spec.n_sample_paths):
+            paths = simulate_surface(spec.spot0, spec.v0_init, spec.maturities, self.MG, spec.mc,
+                                     self.pricing_rng(2, path_id))
+            surface = price_surface_mc(spec.spot0, spec.v0_init, spec.maturities, strikes,
+                                       self.MG, spec.mc, paths=paths)
+            got = [(row.mc_price, row.mc_std_error) for row in rows
+                   if row.path_id == path_id and row.obs_index == 0]
+            assert got == [(surface[(m, k)].estimate, surface[(m, k)].std_error)
+                           for m in spec.maturities for k in strikes]
+
+    def count_calls(self, monkeypatch, names):
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            original = getattr(mc, name)
+
+            def wrapper(*args, name=name, original=original, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(mc, name, wrapper)
+        return calls
+
+    def test_one_simulation_per_sample_path(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, ["simulate_terminal", "step_euler"])
+        generate_time_series(self.SPEC, self.MG, seed=0)
+        # n_obs - 1 weekly steps: the state after the last observation is never read
+        assert calls == {"simulate_terminal": 2, "step_euler": 2}
+
+    @pytest.mark.parametrize("surfaces_per_call, n_calls", [(0, 6), (2, 4)])
+    def test_rows_do_not_depend_on_the_grouping(self, surfaces_per_call, n_calls, monkeypatch):
+        # a budget under one surface still simulates one observation per call
+        spec = replace(self.SPEC, n_obs=3)
+        full = generate_time_series(spec, self.MG, seed=1)
+        surface_bytes = 2 * len(spec.maturities) * spec.mc.n_paths * 8
+        monkeypatch.setattr(mc, "SURFACE_BYTES", surfaces_per_call * surface_bytes + 1)
+        calls = self.count_calls(monkeypatch, ["simulate_terminal"])
+        assert generate_time_series(spec, self.MG, seed=1) == full
+        assert calls == {"simulate_terminal": n_calls}
+
+    def test_memory_is_one_group_of_surfaces(self, monkeypatch):
+        # at the paper's width a worker holds the budget's surfaces plus less
+        # than one more: the state, draws, scratch and payoffs; holding the
+        # last group while simulating the next would take two budgets
+        spec = TimeSeriesSpec(n_sample_paths=1, n_obs=3, moneyness=(1.0,),
+                              mc=McConfig(n_paths=50_000, steps_per_day=1))
+        surface_bytes = 2 * len(spec.maturities) * spec.mc.n_paths * 8
+        budget = 2 * surface_bytes
+        monkeypatch.setattr(mc, "SURFACE_BYTES", budget)
+        generate_time_series(replace(spec, n_obs=1), self.MG)  # warm-up
+        tracemalloc.start()
+        try:
+            generate_time_series(spec, self.MG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget + surface_bytes
 
     @pytest.mark.parametrize("days", [math.nan, math.inf, -math.inf, -5.0, 0.0])
     def test_static_experiment_rejects_bad_maturity(self, days, monkeypatch):
