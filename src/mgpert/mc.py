@@ -1,9 +1,10 @@
 """Monte Carlo engines for the full two-factor model.
 
-Both engines discretise the variance the same way: Euler with full
-truncation (V replaced by max(V, 0) wherever it is consumed).  They
-sample one way, with no switch: antithetic pairs, and equiprobable
-stratification of the first step's leading shock.
+Both engines discretise the variance with the same scheme, Euler with
+full truncation (V replaced by max(V, 0) wherever it is consumed), grouped
+differently, so their paths agree up to rounding.  They sample one way,
+with no switch: antithetic pairs, and equiprobable stratification of the
+first step's leading shock.
 
 - simulate_terminal, the conditional engine, simulates the variance only.
   Given one variance path, log S_T is Gaussian, so a path contributes the
@@ -147,15 +148,6 @@ def step_euler(s, v, dt, z_s, z_v, mg: MgParams, work=None):
         np.add(s, b, out=s)
     np.add(s, a, out=s)
 
-    _variance_drift_and_shock(v, v_plus, dt, z_v, mg, a)
-    np.add(v, a, out=v)
-    return s, v
-
-
-def _variance_drift_and_shock(v, v_plus, dt, z_v, mg: MgParams, a):
-    """The variance half of step_euler up to its last add, in place: v
-    gains the drift, a becomes the shock term ((xi V+^alpha) sqrt(dt)) z_v,
-    and v_plus (V+ on entry) is overwritten when alpha != 1."""
     np.subtract(mg.theta, v_plus, out=a)
     np.multiply(mg.kappa, a, out=a)
     np.multiply(a, dt, out=a)
@@ -165,6 +157,8 @@ def _variance_drift_and_shock(v, v_plus, dt, z_v, mg: MgParams, a):
     np.multiply(mg.xi, v_plus, out=a)
     np.multiply(a, math.sqrt(dt), out=a)
     np.multiply(a, z_v, out=a)
+    np.add(v, a, out=v)
+    return s, v
 
 
 def _stratified_normals(rng, n_strata, out):
@@ -232,16 +226,23 @@ def simulate_terminal(
     bit-identical to a call with that spot and variance alone; a float is a
     sequence of one in the same loop.
 
+    V takes step_euler's scheme with its constants folded: at alpha = 1,
+    V' = V + V+ f + kappa theta dt with f = +-xi sqrt(dt) z - kappa dt;
+    otherwise V' = (V - V+ kappa dt) + V+^alpha f + kappa theta dt with
+    f = +-xi sqrt(dt) z.  So V matches step_euler up to rounding.  f depends
+    on z alone, so it is built once per step and chunk for every variance,
+    and each variance keeps the bits of a call of its own.
+
     Each step draws one normal per base path (stratified on the first
     step).  The antithetic half is not mirrored into a second draw array:
-    it keeps J negated, so both halves add sqrt(V+) z, its V update
-    subtracts the shock term and its snapshot scales J by -rho sqrt(dt).
-    IEEE negation is exact and x + (-y) = x - y, so this gives the mirror's
-    bits.  The sums are kept as sum V+ and sum sqrt(V+) z and scaled by dt
-    and sqrt(dt) at the snapshots.  Memory: per variance the state V and
-    the sums, which live in the output rows of the last step; shared by
-    all variances, the draws and two scratch arrays of STEP_CHUNK base
-    paths, since the step runs chunk by chunk along the path axis.
+    f's second row carries the shock negated, and that half keeps J negated,
+    so both halves add sqrt(V+) z and its snapshot scales J by -rho sqrt(dt).
+    IEEE negation is exact, so the half gets the bits a draw of -z gives.
+    The sums are kept as sum V+ and sum sqrt(V+) z and scaled by dt and
+    sqrt(dt) at the snapshots.  Memory: per variance the state V and the
+    sums, which live in the output rows of the last step; shared by all
+    variances, the draws and three scratch arrays (V+, a product and f) of
+    STEP_CHUNK base paths, as the step runs chunk by chunk.
     """
     if rng is None:
         rng = _philox(cfg.seed)
@@ -279,7 +280,8 @@ def simulate_terminal(
     sum_v.fill(0.0)
     z = np.empty(n)
     width = min(n, STEP_CHUNK)
-    v_plus, a = np.empty((2, width)), np.empty((2, width))
+    v_plus, a, factor = np.empty((3, 2, width))
+    mean_rev, pull, vol_dt = mg.kappa * dt, mg.kappa * mg.theta * dt, mg.xi * math.sqrt(dt)
     # J's factor per half: the antithetic half's J is stored negated
     root_scale = np.array([[rho * math.sqrt(dt)], [-(rho * math.sqrt(dt))]])
 
@@ -288,12 +290,11 @@ def simulate_terminal(
     step_views, snap_views = [], []
     for c in range(0, n, width):
         part = slice(c, c + width)
-        vp, sc = v_plus[:, : min(width, n - c)], a[:, : min(width, n - c)]
-        for j in range(start.size):
-            vj, s_v, s_root = v[j, :, part], sum_v[j, :, part], sum_root[j, :, part]
-            step_views.append((vj, s_v, s_root, z[part], vp, sc, *vj, *sc))
-            snap_views.append((s_v, s_root, sc, forwards[j, :, :, part], variances[j, :, :, part],
-                               spots[j]))
+        vp, sc, fac = (buf[:, : min(width, n - c)] for buf in (v_plus, a, factor))
+        views = list(zip(v[..., part], sum_v[..., part], sum_root[..., part]))
+        step_views.append((z[part], vp, sc, fac, views))
+        snap_views += [(s_v, s_root, sc, fw, var, spot_j) for (_, s_v, s_root), fw, var, spot_j
+                       in zip(views, forwards[..., part], variances[..., part], spots)]
 
     def snapshot(k):
         drift = math.exp(mg.r * k * dt)
@@ -315,15 +316,24 @@ def simulate_terminal(
             _stratified_normals(rng, cfg.n_strata, z)
         else:
             rng.standard_normal(out=z)
-        for vj, s_v, s_root, zc, vp, sc, v_up, v_down, shock_up, shock_down in step_views:
-            np.maximum(vj, 0.0, out=vp)
-            np.add(s_v, vp, out=s_v)
-            np.sqrt(vp, out=sc)
-            np.multiply(sc, zc, out=sc)
-            np.add(s_root, sc, out=s_root)
-            _variance_drift_and_shock(vj, vp, dt, zc, mg, sc)
-            np.add(v_up, shock_up, out=v_up)
-            np.subtract(v_down, shock_down, out=v_down)
+        for zc, vp, sc, fac, views in step_views:
+            np.multiply(zc, vol_dt, out=fac[0])
+            np.negative(fac[0], out=fac[1])
+            if mg.alpha == 1.0:
+                np.subtract(fac, mean_rev, out=fac)
+            for vj, s_v, s_root in views:
+                np.maximum(vj, 0.0, out=vp)
+                np.add(s_v, vp, out=s_v)
+                np.sqrt(vp, out=sc)
+                np.multiply(sc, zc, out=sc)
+                np.add(s_root, sc, out=s_root)
+                if mg.alpha != 1.0:
+                    np.multiply(vp, mean_rev, out=sc)
+                    np.subtract(vj, sc, out=vj)
+                    np.power(vp, mg.alpha, out=vp)
+                np.multiply(vp, fac, out=sc)
+                np.add(vj, sc, out=vj)
+                np.add(vj, pull, out=vj)
         if k in snap_at:
             snapshot(k)
     forwards, variances = forwards.reshape(shape), variances.reshape(shape)

@@ -22,7 +22,13 @@ sampling to the default design; the hash of its new config was computed
 with the plain designs still in the code, and the removal kept it.  The
 panel's hash was re-recorded (c38abbbe... to 3b10dd68...) when each sample
 path's observations moved onto one shared pricing stream: observation 0's
-rows kept their bits, and the later observations' prices moved.
+rows kept their bits, and the later observations' prices moved.  The
+conditional engine's, the panel's and table1's hashes were re-recorded
+(f863a88d... to b842439e..., 3b10dd68... to 3ed3f846..., ff2ca97f... to
+ab8cc512...) when simulate_terminal's variance step took one factor per
+step shared by every variance: the same scheme with its constants folded,
+so the outputs moved by rounding only (table1's sigma_hat and ivrmse from
+their 12th significant digit on).
 """
 
 import contextlib
@@ -93,7 +99,7 @@ def test_simulate_terminal_golden():
     assert np.isfinite(forwards).all() and (variances >= 0).all()
     assert (forwards[0] == 100.0).all() and (variances[0] == 0.0).all()
     assert _sha(forwards.tobytes() + variances.tobytes()) == (
-        "f863a88d80aa460146d50ced187ff12016afdef67e3f3d35ef410c2084e4616f"
+        "b842439e6105f82d4ade05764e377ec332a7d68d52abab7e8fe8f1c3ec0e52a4"
     )
 
 
@@ -110,7 +116,7 @@ def test_panel_csv_golden(tmp_path):
     path = tmp_path / "panel.csv"
     write_panel_csv(rows, path)
     assert _sha(path.read_bytes()) == (
-        "3b10dd6844829637dfd633fc71cdf3be836a58b47c8bba831331140886a63671"
+        "3ed3f846eee2400c4c889cad0d4f63766dfb3c82f35b5e7e40f6cf0209628da6"
     )
 
 
@@ -121,7 +127,7 @@ def test_static_table1_golden(tmp_path):
     )
     write_static_report(report, tmp_path)
     assert _sha((tmp_path / "table1.csv").read_bytes()) == (
-        "ff2ca97fa9e24820cbf3255a0d023759628fb3768dfb9da57c8734ca5acc108d"
+        "ab8cc512c6a189654339ebe81c4d59e901cd507ee42298919e53d274c544a951"
     )
 
 

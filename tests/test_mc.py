@@ -325,8 +325,9 @@ class TestSharedStream:
     @pytest.mark.parametrize("n_var", [1, 4])
     def test_memory(self, n_var):
         # per variance the state and the two sums (the output rows), plus
-        # the draws (half a path vector) and chunk-sized scratch; at 10^5
-        # paths an extra path vector per variance would not fit
+        # the draws (half a path vector) and chunk-sized scratch: three
+        # (2, STEP_CHUNK) arrays, 384 KiB of the 0.5 MiB; at 10^5 paths an
+        # extra path vector per variance would not fit
         cfg = McConfig(n_paths=100_000, n_strata=50, seed=2)
         starts = 0.09 if n_var == 1 else [0.09] * n_var
         simulate_terminal(100.0, starts, STATIC_MG, cfg, [2], 1 / 3650)  # warm-up
@@ -378,6 +379,90 @@ class TestSharedStream:
         strikes = [100.0 * m for m in STATIC_MONEYNESS]
         for v, surface in zip(v_grid, surfaces):
             assert surface == price_surface_mc(100.0, v**2, [30.0], strikes, STATIC_MG, cfg)
+
+
+def plain_conditional(spot, variance, mg, cfg, steps, dt):
+    """simulate_terminal for one variance, written out: no chunks, and the
+    variance step in step_euler's order, V + kappa (theta - V+) dt +
+    xi V+^alpha sqrt(dt) z, with the antithetic half's z negated."""
+    rng = mc._philox(cfg.seed)
+    n = cfg.n_base
+    sign = np.array([[1.0], [-1.0]])
+    v = np.full((2, n), variance)
+    sum_v, sum_root = np.zeros((2, n)), np.zeros((2, n))
+    forwards, variances = [], []
+    for k in range(1, max(steps) + 1):
+        if k == 1:
+            z = mc._stratified_normals(rng, cfg.n_strata, np.empty(n))
+        else:
+            z = rng.standard_normal(n)
+        v_plus = np.maximum(v, 0.0)
+        sum_v += v_plus
+        sum_root += np.sqrt(v_plus) * z
+        shock = mg.xi * v_plus**mg.alpha * math.sqrt(dt) * (sign * z)
+        v = v + mg.kappa * (mg.theta - v_plus) * dt + shock
+        if k in steps:
+            i, j = sum_v * dt, sign * sum_root * math.sqrt(dt)
+            growth = spot * math.exp(mg.r * k * dt)
+            forwards.append((growth * np.exp(mg.rho * j - 0.5 * mg.rho**2 * i)).ravel())
+            variances.append(((1.0 - mg.rho**2) * i).ravel())
+    return np.array(forwards), np.array(variances)
+
+
+class TestConditionalStep:
+    """simulate_terminal's grouped variance step against the plain one."""
+
+    @pytest.mark.parametrize("r", [0.0, 0.02])
+    @pytest.mark.parametrize("v0", [0.0, 0.09])
+    def test_agrees_pathwise_with_plain_step_at_alpha_one(self, r, v0):
+        """At alpha = 1 the grouping changes only rounding, and V+ enters
+        linearly, so 1800 steps keep every path within 1e-12.
+
+        alpha != 1 gets no pathwise check: V+^alpha amplifies rounding near
+        V = 0, where paths spend much of their time when 2 kappa theta <<
+        xi^2.  At alpha = 1/2 (kappa = 1.5, theta = 0.08, xi = 1.5,
+        rho = -0.9, v0 = 0.01, dt = 1/3650, 20 000 paths, seed 0), 17 568
+        forwards differed from this reference by more than 1e-10 relative
+        after 1800 steps.  There the checks are the Euler-agreement tests,
+        within 3 standard errors.
+        """
+        mg = MgParams(kappa=1.5, theta=0.08, xi=1.5, rho=-0.5, alpha=1.0, r=r)
+        cfg = McConfig(n_paths=2000, n_strata=50, seed=3)
+        steps = [1, 600, 1800]
+        forwards, variances = simulate_terminal(100.0, v0, mg, cfg, steps, 1 / 3650)
+        ref_forwards, ref_variances = plain_conditional(100.0, v0, mg, cfg, steps, 1 / 3650)
+        np.testing.assert_allclose(forwards, ref_forwards, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(variances, ref_variances, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.7])
+    def test_negated_draws_swap_the_halves(self, alpha, monkeypatch):
+        # the antithetic half is a run on -z: fed -z, the halves trade bits
+        mg = MgParams(kappa=1.5, theta=0.08, xi=1.5, rho=-0.5, alpha=alpha, r=0.02)
+        cfg = McConfig(n_paths=240, n_strata=10, seed=4)
+        starts, steps = [0.1225, 0.0, 0.01], [0, 7, 3, 7]
+        monkeypatch.setattr(mc, "STEP_CHUNK", 32)
+        forwards, variances = simulate_terminal(100.0, starts, mg, cfg, steps, 1 / 3650)
+
+        class NegatedStream:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def random(self, out):
+                return self.rng.random(out=out)
+
+            def standard_normal(self, out):
+                return np.negative(self.rng.standard_normal(out=out), out=out)
+
+        philox, stratified = mc._philox, mc._stratified_normals
+        monkeypatch.setattr(mc, "_philox", lambda *words: NegatedStream(philox(*words)))
+        monkeypatch.setattr(mc, "_stratified_normals", lambda rng, n_strata, out: np.negative(
+            stratified(rng, n_strata, out), out=out))
+        neg_forwards, neg_variances = simulate_terminal(100.0, starts, mg, cfg, steps, 1 / 3650)
+        n = cfg.n_base
+        for got, ref in [(neg_forwards, forwards), (neg_variances, variances)]:
+            assert got[..., :n].tobytes() == ref[..., n:].tobytes()
+            assert got[..., n:].tobytes() == ref[..., :n].tobytes()
+        assert forwards[..., :n].tobytes() != forwards[..., n:].tobytes()
 
 
 class TestTimeSeries:
