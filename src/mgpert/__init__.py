@@ -4,10 +4,8 @@ from .analytic import (
     PriceBreakdown,
     bs_price,
     bs_vega,
-    correction_root_variance,
     implied_vol,
     implied_vol_array,
-    perturb_correction,
     price_mg,
 )
 from .calibration import CalibResult, Quote, QuoteSet, calibrate, ivrmse
@@ -21,13 +19,7 @@ from .errors import (
     OutOfBounds,
     QuadratureNotConverged,
 )
-from .heatkernel import (
-    QuadratureConfig,
-    heat_green,
-    psi1_closed_form,
-    psi1_quadrature,
-    reconstruct_psi0,
-)
+from .heatkernel import QuadratureConfig, psi1_quadrature
 from .mc import (
     McConfig,
     McPrice,
@@ -50,14 +42,12 @@ from .params import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "PriceBreakdown", "bs_price", "bs_vega", "correction_root_variance",
-    "implied_vol", "implied_vol_array", "perturb_correction", "price_mg",
+    "PriceBreakdown", "bs_price", "bs_vega", "implied_vol", "implied_vol_array", "price_mg",
     "CalibResult", "Quote", "QuoteSet", "calibrate", "ivrmse",
     "DegenerateParams", "EmptyQuoteSet", "InvalidParams", "MgpertError",
     "NoConvergence", "NonpositiveVariance", "OutOfBounds",
     "QuadratureNotConverged",
-    "QuadratureConfig", "heat_green", "psi1_closed_form", "psi1_quadrature",
-    "reconstruct_psi0",
+    "QuadratureConfig", "psi1_quadrature",
     "McConfig", "McPrice", "TimeSeriesSpec", "generate_time_series",
     "price_option_mc", "price_surface_mc",
     "DerivedParams", "HeatCoords", "MgParams", "OptionSpec", "PerturbParams",

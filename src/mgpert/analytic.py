@@ -35,14 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, OutOfBounds
-from .params import (
-    DerivedParams,
-    MgParams,
-    OptionSpec,
-    PerturbParams,
-    check_kind,
-    derive_params,
-)
+from .params import MgParams, OptionSpec, PerturbParams, check_kind, derive_params
 
 IV_MIN = 1e-4
 IV_MAX = 5.0
@@ -244,27 +237,6 @@ def correction_kernel(x, tau, variance, sigma, r2, r, log_strike=0.0):
         bracket = -0.5 * sigma2**2 * r2 * tau + variance * np.expm1(0.5 * sigma2 * r2 * tau)
         out = np.where(tau > 0, -np.copysign(1.0, r2) * np.exp(log_mag) * bracket, 0.0)
     return out if out.ndim else float(out)
-
-
-def perturb_correction(
-    opt: OptionSpec, pert: PerturbParams, deriv: DerivedParams, r: float
-) -> float:
-    """Leading-order correction C1 = P1 (same value for calls and puts).
-
-    log S/K and log K are numpy's, as in pert_price_grid, so both give the
-    same bits.
-    """
-    return correction_kernel(
-        _log_moneyness(opt.spot, opt.strike), opt.tau_cal, opt.variance, pert.sigma, deriv.r2, r,
-        np.log(opt.strike),
-    )
-
-
-def correction_root_variance(pert: PerturbParams, deriv: DerivedParams, tau_cal: float) -> float:
-    """Variance at which the correction's bracket (hence C1) changes sign."""
-    sigma2 = pert.sigma**2
-    z = 0.5 * sigma2 * deriv.r2 * tau_cal
-    return 0.5 * sigma2**2 * deriv.r2 * tau_cal / math.expm1(z)
 
 
 def price_mg(opt: OptionSpec, mg: MgParams, pert: PerturbParams) -> PriceBreakdown:

@@ -138,8 +138,9 @@ def _model_residuals(quotes: QuoteSet, theta):
 
 
 def _check_theta(theta, what):
+    """(kappa, xi, alpha, sigma) must each be finite and > 0; NaN fails too."""
     kappa, xi, alpha, sigma = theta
-    if not (kappa > 0 and xi > 0 and sigma > 0 and alpha > 0):
+    if not all(0.0 < p < math.inf for p in (kappa, xi, alpha, sigma)):
         raise InvalidParams(f"{what} out of bounds: {theta}")
 
 

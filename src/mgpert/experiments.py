@@ -15,7 +15,7 @@ import concurrent.futures
 import csv
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .errors import InvalidParams
 from .mc import (
     DAYS_PER_YEAR,
     McConfig,
-    PanelRow,
     TimeSeriesSpec,
     generate_time_series,
     price_surface_mc,
@@ -74,6 +73,20 @@ class StaticReport:
     results: list  # CalibResult per scenario
 
 
+def _call_quotes(contracts, r: float) -> QuoteSet:
+    """Call price quotes from (spot, strike, tau, variance, price) tuples."""
+    return QuoteSet(
+        quotes=[
+            Quote(
+                opt=OptionSpec(spot=spot, strike=k, tau_cal=tau, kind="call", variance=var),
+                price=price,
+            )
+            for spot, k, tau, var, price in contracts
+        ],
+        r=r,
+    )
+
+
 def run_static_experiment(
     mc_cfg: McConfig,
     v_grid=STATIC_VOL_GRID,
@@ -101,17 +114,8 @@ def run_static_experiment(
             spot, variance0, [maturity_days], strikes, mg, mc_cfg, paths=scenario_paths
         )
         mc_prices = np.array([surface[(maturity_days, k)].estimate for k in strikes])
-        quotes = QuoteSet(
-            quotes=[
-                Quote(
-                    opt=OptionSpec(
-                        spot=spot, strike=k, tau_cal=tau, kind="call", variance=variance0
-                    ),
-                    price=p,
-                )
-                for k, p in zip(strikes, mc_prices)
-            ],
-            r=mg.r,
+        quotes = _call_quotes(
+            ((spot, k, tau, variance0, p) for k, p in zip(strikes, mc_prices)), mg.r
         )
         result = calibrate(
             quotes, (mg.kappa, mg.xi, mg.alpha, v_init), fix_structurals=True
@@ -160,30 +164,15 @@ class TimeSeriesReport:
     per_path: list  # CalibResult per sample path
 
 
-def _path_quote_set(rows, mg: MgParams) -> QuoteSet:
-    quotes = []
-    for row in rows:
-        # spot recovered from the stored strike and moneyness
-        spot = row.strike / row.moneyness
-        quotes.append(
-            Quote(
-                opt=OptionSpec(
-                    spot=spot,
-                    strike=row.strike,
-                    tau_cal=row.maturity_days / DAYS_PER_YEAR,
-                    kind="call",
-                    variance=row.v_true,
-                ),
-                price=row.mc_price,
-            )
-        )
-    return QuoteSet(quotes=quotes, r=mg.r)
-
-
 def _run_one_path(args):
     spec, mg, seed, path_id, sigma0 = args
     rows = generate_time_series(spec, mg, seed, paths=[path_id])
-    quotes = _path_quote_set(rows, mg)
+    # spot recovered from the stored strike and moneyness
+    quotes = _call_quotes(
+        ((row.strike / row.moneyness, row.strike, row.maturity_days / DAYS_PER_YEAR,
+          row.v_true, row.mc_price) for row in rows),
+        mg.r,
+    )
     return calibrate(quotes, (mg.kappa, mg.xi, mg.alpha, sigma0))
 
 
@@ -258,17 +247,6 @@ def write_csv(path, header, rows, config_comment=None):
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def write_panel_csv(rows, path, config_comment=None):
-    """generate_time_series's panel, one line per PanelRow; floats by repr."""
-    columns = [f.name for f in fields(PanelRow)]
-    write_csv(
-        path,
-        columns,
-        ([r.path_id, r.obs_index, *(repr(getattr(r, c)) for c in columns[2:])] for r in rows),
-        config_comment,
-    )
 
 
 def write_static_report(report: StaticReport, out_dir, config_comment=None):

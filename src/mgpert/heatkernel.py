@@ -1,9 +1,9 @@
 """Independent verification machinery in heat coordinates.
 
 Everything here works on the dimensionless fields: the exact symmetric
-solution psi0, the 2+1 Gaussian propagator, the symmetry-breaking operator
-applied to psi0, and a numerical-quadrature reconstruction of the
-leading-order correction psi1.  The quadrature is deliberately independent
+solution psi0, the symmetry-breaking operator applied to psi0, and a
+numerical-quadrature reconstruction of the leading-order correction psi1
+against the 2+1 heat kernel.  The quadrature is deliberately independent
 of the closed-form pricer: x-derivatives of psi0 are taken by central
 finite differences, only the y-derivatives use the exact exponential
 factorization d/dy psi0 = -b psi0.
@@ -37,9 +37,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic import correction_kernel, normal_cdf
+from .analytic import normal_cdf
 from .errors import InvalidParams, QuadratureNotConverged
-from .params import DerivedParams, HeatCoords, MgParams, PerturbParams, tilt
+from .params import DerivedParams, HeatCoords, MgParams, PerturbParams, check_counts
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,7 @@ class QuadratureConfig:
         # a NaN, zero or negative tolerance would switch the refinement check off
         if not 0.0 < self.rel_tol < math.inf:
             raise InvalidParams(f"rel_tol must be finite and > 0, got {self.rel_tol}")
+        check_counts(self, "n_nodes", "n_time")
         # >= 64 recommended for production use; smaller grids are allowed so
         # that forced non-convergence is reachable from the CLI
         if not self.n_nodes >= 4:
@@ -98,16 +99,6 @@ def psi0_grid(x, y, tau, deriv: DerivedParams):
         np.exp(0.5 * (r1 + 1.0) * x) - np.exp(0.5 * (r1 - 1.0) * x), 0.0
     )
     return np.where(tau > 0, interior, boundary)
-
-
-def heat_green(x, y, tau, xp, yp, t):
-    """Gaussian propagator of the 2+1 heat equation; zero for tau <= t."""
-    x, y, xp, yp = (np.asarray(v, dtype=float) for v in (x, y, xp, yp))
-    dt = np.asarray(tau, dtype=float) - np.asarray(t, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        val = np.exp(-((x - xp) ** 2 + (y - yp) ** 2) / (4.0 * dt)) / (4.0 * np.pi * dt)
-    out = np.where(dt > 0, val, 0.0)
-    return out if out.ndim else float(out)
 
 
 def _breaking_terms(mg: MgParams, pert: PerturbParams, deriv: DerivedParams):
@@ -274,78 +265,3 @@ def psi1_quadrature(
             f"(> {qcfg.rel_tol:.1e}); increase n_nodes/n_time"
         )
     return fine
-
-
-def psi1_closed_form(
-    coords: HeatCoords, pert: PerturbParams, deriv: DerivedParams
-) -> float:
-    """Closed-form leading-order correction in heat coordinates: C1 / (K phi).
-
-    analytic.correction_kernel at tau_cal = 2 tau / sigma^2, V = v0 e^y and
-    r = r1 sigma^2 / 2, divided by the tilt phi.
-    """
-    sigma2 = pert.sigma**2
-    c1_per_strike = correction_kernel(
-        coords.x, 2.0 * coords.tau / sigma2, pert.v0 * math.exp(coords.y), pert.sigma,
-        deriv.r2, 0.5 * deriv.r1 * sigma2,
-    )
-    phi = tilt(coords, deriv)
-    psi1 = c1_per_strike / phi if phi > 0.0 else math.inf
-    if math.isinf(psi1):
-        exponent = deriv.a * coords.x + deriv.b * coords.y + deriv.c * coords.tau
-        raise InvalidParams(
-            f"psi1 = C1 / (K phi) overflows a double: the tilt exponent "
-            f"a x + b y + c tau = {exponent:.6g} is too negative"
-        )
-    return psi1
-
-
-def reconstruct_psi0(
-    coords: HeatCoords, deriv: DerivedParams, n_nodes: int = 200, half_width: float = 10.0
-) -> float:
-    """Fold the boundary function with the propagator to recover psi0.
-
-    The X-integral starts at the kink X = 0 (the payoff bracket vanishes for
-    X < 0) and the Y-integral is a full Gaussian window, so both pieces are
-    smooth and Gauss-Legendre converges spectrally.
-    """
-    x, y, tau = coords.x, coords.y, coords.tau
-    if tau <= 0:
-        return float(psi0_grid(x, y, tau, deriv))
-    r1, r2 = deriv.r1, deriv.r2
-    L = half_width * math.sqrt(2.0 * tau)
-    gn, gw = _leggauss(n_nodes)
-
-    hi = max(x + L, L)
-    xn = 0.5 * (gn + 1.0) * hi
-    xw = 0.5 * gw * hi
-    fx = np.exp(0.5 * (r1 + 1.0) * xn) - np.exp(0.5 * (r1 - 1.0) * xn)
-    gx = np.exp(-((x - xn) ** 2) / (4.0 * tau)) / math.sqrt(4.0 * math.pi * tau)
-    ix = float(np.dot(xw, fx * gx))
-
-    yn = y + gn * L
-    yw = gw * L
-    fy = np.exp(0.5 * (r2 - 1.0) * yn)
-    gy = np.exp(-((y - yn) ** 2) / (4.0 * tau)) / math.sqrt(4.0 * math.pi * tau)
-    iy = float(np.dot(yw, fy * gy))
-    return ix * iy
-
-
-def heat_residual(field, coords: HeatCoords, h: float = 1e-3, source=None) -> float:
-    """Central-difference residual of (d/dtau - dxx - dyy) field = source.
-
-    `field` maps (x, y, tau) to a scalar; `source` is evaluated at coords
-    (None means the homogeneous equation).  Step h applies to all three
-    directions; tau must exceed h so the stencil stays interior.
-    """
-    x, y, tau = coords.x, coords.y, coords.tau
-    if tau <= h:
-        raise InvalidParams(f"tau = {tau} must exceed the stencil step {h}")
-    f0 = field(x, y, tau)
-    dtau = (field(x, y, tau + h) - field(x, y, tau - h)) / (2.0 * h)
-    dxx = (field(x + h, y, tau) - 2.0 * f0 + field(x - h, y, tau)) / h**2
-    dyy = (field(x, y + h, tau) - 2.0 * f0 + field(x, y - h, tau)) / h**2
-    res = dtau - dxx - dyy
-    if source is not None:
-        res -= source(x, y, tau)
-    return res

@@ -37,7 +37,7 @@ import numpy as np
 
 from .analytic import bs_price
 from .errors import InvalidParams
-from .params import MgParams, OptionSpec, check_kind
+from .params import MgParams, OptionSpec, check_counts, check_kind
 
 DAYS_PER_YEAR = 365.0
 #: paths per bs_price call when pricing from the conditional engine
@@ -69,6 +69,7 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_counts(self, "n_paths", "steps_per_day", "n_strata")
         if self.n_paths < 2 or self.n_paths % 2:
             raise InvalidParams(f"n_paths must be a positive even number, got {self.n_paths}")
         if self.steps_per_day < 1:
@@ -113,8 +114,11 @@ class TimeSeriesSpec:
             )
         if list(self.maturities) != sorted(self.maturities):
             raise InvalidParams("maturities must be sorted ascending")
-        if not all(0 < m < math.inf for m in self.moneyness):
-            raise InvalidParams(f"moneyness values must be finite and > 0, got {self.moneyness}")
+        if not self.moneyness or not all(0 < m < math.inf for m in self.moneyness):
+            raise InvalidParams(
+                f"moneyness must be non-empty, finite and > 0, got {self.moneyness}"
+            )
+        check_counts(self, "n_sample_paths", "n_obs")
         if self.n_sample_paths < 1 or self.n_obs < 1:
             raise InvalidParams("n_sample_paths and n_obs must be >= 1")
 
@@ -445,14 +449,15 @@ def price_surface_mc(
     the surface is what makes desk-scale path counts affordable; estimates
     for different contracts are correlated but individually unbiased.
 
-    The paths are passed as paths = (forwards, variances), one contract
-    set's entry of a simulate_surface call on these maturities and cfg, or
-    simulate_surface makes them here on cfg.seed's stream; pricing
-    overwrites those variances with their square roots.  A path's payoff is
-    its undiscounted Black price at (F, W), a put by parity on that path
-    (call - F + K).  bs_price runs on PRICE_CHUNK paths at a time, so its
-    temporaries stay small whatever the path count.  Raises InvalidParams
-    unless kind is "call" or "put", before any path is simulated.
+    The experiments pass paths = (forwards, variances), one contract set's
+    entry of a simulate_surface call on these maturities and cfg.  Only
+    with paths=None are spot and variance read: simulate_surface then makes
+    the paths here on cfg.seed's stream.  Pricing overwrites the variances
+    with their square roots.  A path's payoff is its undiscounted Black
+    price at (F, W), a put by parity on that path (call - F + K).  bs_price
+    runs on PRICE_CHUNK paths at a time, so its temporaries stay small
+    whatever the path count.  Raises InvalidParams unless kind is "call" or
+    "put", before any path is simulated.
     """
     check_kind(kind)
     maturities_days = list(maturities_days)

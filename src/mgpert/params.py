@@ -9,6 +9,7 @@ dimensionless; so are the tilt constants a, b, c.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import DegenerateParams, InvalidParams, NonpositiveVariance
@@ -26,6 +27,15 @@ def check_kind(kind) -> None:
     """The pricers read any kind but "call" as a put, so reject the rest first."""
     if kind not in ("call", "put"):
         raise InvalidParams(f"kind must be 'call' or 'put', got {kind!r}")
+
+
+def check_counts(obj, *names):
+    """A float or other non-integer count passes every ordering check and
+    fails later inside numpy, so reject it first."""
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, numbers.Integral):
+            raise InvalidParams(f"{name} must be an integer, got {value!r}")
 
 
 def _require_finite(obj, *names):
@@ -75,11 +85,6 @@ class MgParams:
         """Drift constant lambda = kappa * theta [1/year^2]."""
         return self.kappa * self.theta
 
-    @property
-    def mu(self) -> float:
-        """Drift constant mu = -kappa [1/year]."""
-        return -self.kappa
-
 
 @dataclass(frozen=True)
 class PerturbParams:
@@ -113,11 +118,8 @@ class PerturbParams:
 class DerivedParams:
     """Dimensionless constants of the heat-coordinate frame."""
 
-    gamma: float   # mu - xi0^2 [1/year]
-    omega: float   # r - sigma^2/2 [1/year]
-    eta: float     # 2 xi0^2 / sigma^2
     r1: float      # 2 r / sigma^2
-    r2: float      # 1 + sqrt(2) gamma / (sigma xi0)
+    r2: float      # 1 + sqrt(2) gamma / (sigma xi0), gamma = -kappa - xi0^2
     a: float
     b: float
     c: float
@@ -147,9 +149,6 @@ def derive_params(mg: MgParams, pert: PerturbParams) -> DerivedParams:
     r2 = correction_r2(mg.kappa, pert.xi0, pert.sigma)
     r1 = 2.0 * mg.r / sigma2
     return DerivedParams(
-        gamma=mg.mu - pert.xi0 ** 2,
-        omega=mg.r - 0.5 * sigma2,
-        eta=2.0 * pert.xi0 ** 2 / sigma2,
         r1=r1,
         r2=r2,
         a=-0.5 * (r1 - 1.0),

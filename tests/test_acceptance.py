@@ -13,20 +13,10 @@ import sys
 import numpy as np
 import pytest
 
-from mgpert.analytic import (
-    bs_price,
-    implied_vol_array,
-    perturb_correction,
-    price_mg,
-)
+from mgpert.analytic import bs_price, implied_vol_array, price_mg
 from mgpert.calibration import pert_price_grid
 from mgpert.experiments import run_static_experiment, run_timeseries_experiment
-from mgpert.heatkernel import (
-    breaking_operator_grid,
-    heat_residual,
-    psi1_closed_form,
-    psi1_quadrature,
-)
+from mgpert.heatkernel import breaking_operator_grid, psi1_quadrature
 from mgpert.mc import McConfig, TimeSeriesSpec, price_option_mc
 from mgpert.params import (
     HeatCoords,
@@ -37,6 +27,7 @@ from mgpert.params import (
     tilt,
     to_heat_coords,
 )
+from oracles import heat_residual, psi1_closed_form
 
 STATIC_MG = MgParams(kappa=1.5, theta=0.08, xi=1.5, rho=-0.5, alpha=1.0)
 STATIC_SIGMA = 0.2865
@@ -112,7 +103,7 @@ class TestAcceptance:
                 hc = to_heat_coords(opt, pert)
                 c1_quad = opt.strike * tilt(hc, deriv) * psi1_quadrature(
                     hc, mg, pert, deriv)
-                c1_cf = perturb_correction(opt, pert, deriv, mg.r)
+                c1_cf = price_mg(opt, mg, pert).c1
                 err = abs(c1_quad - c1_cf)
                 worst_abs = max(worst_abs, err)
                 if abs(c1_cf) > 0:
@@ -255,7 +246,7 @@ class TestAcceptance:
         for v0 in (0.5, 1.0, 10.0):
             pert = PerturbParams.from_mg(STATIC_MG, STATIC_SIGMA, v0=v0)
             deriv = derive_params(STATIC_MG, pert)
-            analytic.append(perturb_correction(opt, pert, deriv, STATIC_MG.r))
+            analytic.append(price_mg(opt, STATIC_MG, pert).c1)
             hc = to_heat_coords(opt, pert)
             quad.append(
                 opt.strike * tilt(hc, deriv) * psi1_quadrature(hc, STATIC_MG, pert, deriv)

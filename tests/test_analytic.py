@@ -12,15 +12,14 @@ from mgpert.analytic import (
     bs_price,
     bs_vega,
     correction_kernel,
-    correction_root_variance,
     implied_vol,
     implied_vol_array,
     normal_cdf,
-    perturb_correction,
     price_mg,
 )
 from mgpert.errors import InvalidParams, NoConvergence, OutOfBounds
-from mgpert.params import MgParams, OptionSpec, PerturbParams, derive_params
+from mgpert.params import OptionSpec, PerturbParams
+from oracles import correction_root_variance
 
 
 def bs_call_reference(s, k, tau, r, sigma):
@@ -140,14 +139,14 @@ class TestBsPrice:
 
 
 class TestPerturbCorrection:
-    def test_frozen_scenario_value(self, scn_mg, scn_pert, scn_deriv):
+    def test_frozen_scenario_value(self, scn_mg, scn_pert):
         opt = OptionSpec(spot=100.0, strike=100.0, tau_cal=30 / 365, variance=0.09)
-        c1 = perturb_correction(opt, scn_pert, scn_deriv, scn_mg.r)
+        c1 = price_mg(opt, scn_mg, scn_pert).c1
         assert c1 == pytest.approx(-0.005089529099783426, rel=1e-12)
 
-    def test_zero_at_expiry(self, scn_mg, scn_pert, scn_deriv):
+    def test_zero_at_expiry(self, scn_mg, scn_pert):
         opt = OptionSpec(spot=100.0, strike=100.0, tau_cal=0.0, variance=0.09)
-        assert perturb_correction(opt, scn_pert, scn_deriv, scn_mg.r) == 0.0
+        assert price_mg(opt, scn_mg, scn_pert).c1 == 0.0
 
     def test_sign_change_at_root_variance(self, scn_mg, scn_pert, scn_deriv):
         tau = 30 / 365
@@ -155,9 +154,9 @@ class TestPerturbCorrection:
         lo = OptionSpec(spot=100.0, strike=100.0, tau_cal=tau, variance=0.9 * v_root)
         hi = OptionSpec(spot=100.0, strike=100.0, tau_cal=tau, variance=1.1 * v_root)
         at = OptionSpec(spot=100.0, strike=100.0, tau_cal=tau, variance=v_root)
-        c_lo = perturb_correction(lo, scn_pert, scn_deriv, scn_mg.r)
-        c_hi = perturb_correction(hi, scn_pert, scn_deriv, scn_mg.r)
-        c_at = perturb_correction(at, scn_pert, scn_deriv, scn_mg.r)
+        c_lo = price_mg(lo, scn_mg, scn_pert).c1
+        c_hi = price_mg(hi, scn_mg, scn_pert).c1
+        c_at = price_mg(at, scn_mg, scn_pert).c1
         assert c_lo * c_hi < 0
         assert abs(c_at) < 1e-12 * max(abs(c_lo), abs(c_hi))
 
@@ -167,18 +166,15 @@ class TestPerturbCorrection:
         vals = []
         for v0 in (0.5, 1.0, 10.0):
             pp = PerturbParams.from_mg(scn_mg, 0.2865, v0=v0)
-            d = derive_params(scn_mg, pp)
-            vals.append(perturb_correction(opt, pp, d, scn_mg.r))
+            vals.append(price_mg(opt, scn_mg, pp).c1)
         assert vals[0] == vals[1] == vals[2]
 
-    def test_linear_in_variance(self, scn_mg, scn_pert, scn_deriv):
+    def test_linear_in_variance(self, scn_mg, scn_pert):
         # C1 = A + B*V for fixed contract, by construction of the bracket
         tau = 30 / 365
         cs = [
-            perturb_correction(
-                OptionSpec(spot=100.0, strike=100.0, tau_cal=tau, variance=v),
-                scn_pert, scn_deriv, scn_mg.r,
-            )
+            price_mg(OptionSpec(spot=100.0, strike=100.0, tau_cal=tau, variance=v),
+                     scn_mg, scn_pert).c1
             for v in (0.02, 0.05, 0.08)
         ]
         assert cs[1] - cs[0] == pytest.approx(cs[2] - cs[1], rel=1e-9)
@@ -237,18 +233,6 @@ class TestPriceMg:
                 c0, d1 = _bs_float(sigma, 100.0, tau, r, kind, *_black_terms(100.0, k, tau, r))
                 assert (bd.c0, bd.d1) == (c0, d1)
                 assert bd.d2 == d1 - sigma * math.sqrt(tau)
-
-    def test_c1_is_perturb_correction(self, scn_mg, scn_pert, scn_deriv):
-        # price_mg hands C0's log S/K to the kernel; perturb_correction takes its own
-        rng = np.random.default_rng(2)
-        book = zip((100.0 * rng.uniform(0.9, 1.1, 200)).tolist(),
-                   (rng.uniform(0.0, 180.0, 200) / 365.0).tolist(),
-                   rng.uniform(0.01, 0.1225, 200).tolist())
-        for k, tau, v in book:
-            for kind in ("call", "put"):
-                opt = OptionSpec(spot=100.0, strike=k, tau_cal=tau, kind=kind, variance=v)
-                assert price_mg(opt, scn_mg, scn_pert).c1 == perturb_correction(
-                    opt, scn_pert, scn_deriv, scn_mg.r)
 
     @pytest.mark.filterwarnings("error")
     def test_underflowing_moneyness_prices_without_warning(self, scn_mg, scn_pert):

@@ -149,6 +149,17 @@ class TestIvrmse:
         assert PENALTY_RESIDUAL == 0.5
 
 
+@pytest.mark.parametrize("fn", [ivrmse, calibrate])
+@pytest.mark.parametrize("position", range(4))
+def test_infinite_theta_rejected(fn, position):
+    # an infinite kappa, xi or sigma was fitted to NaN with converged=True,
+    # and an infinite alpha raised ZeroDivisionError
+    theta = list(THETA)
+    theta[position] = math.inf
+    with pytest.raises(InvalidParams):
+        fn(synthetic_quotes(THETA), tuple(theta))
+
+
 class TestPertPriceGrid:
     @pytest.mark.parametrize("mg, sigma", [
         (MgParams(kappa=1.5, theta=0.08, xi=1.5, rho=-0.5, alpha=1.0), 0.2865),

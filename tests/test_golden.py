@@ -43,7 +43,7 @@ from mgpert import cli
 from mgpert.analytic import IV_MIN, _price_bracket, bs_price, implied_vol, implied_vol_array, price_mg
 from mgpert.calibration import pert_price_grid
 from mgpert.errors import NoConvergence, OutOfBounds
-from mgpert.experiments import STATIC_MG, run_static_experiment, write_panel_csv, write_static_report
+from mgpert.experiments import STATIC_MG, run_static_experiment, write_static_report
 from mgpert.mc import (
     DAYS_PER_YEAR,
     McConfig,
@@ -54,6 +54,7 @@ from mgpert.mc import (
     step_euler,
 )
 from mgpert.params import MgParams, OptionSpec, PerturbParams
+from oracles import write_panel_csv
 
 DT = 1.0 / (DAYS_PER_YEAR * 10)
 

@@ -5,18 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from mgpert.analytic import bs_price, correction_root_variance, perturb_correction
+from mgpert.analytic import bs_price, price_mg
 from mgpert.errors import DegenerateParams, InvalidParams, QuadratureNotConverged
-from mgpert.heatkernel import (
-    QuadratureConfig,
-    breaking_operator_grid,
-    heat_green,
-    heat_residual,
-    psi0_grid,
-    psi1_closed_form,
-    psi1_quadrature,
-    reconstruct_psi0,
-)
+from mgpert.heatkernel import QuadratureConfig, breaking_operator_grid, psi0_grid, psi1_quadrature
 from mgpert.params import (
     HeatCoords,
     MgParams,
@@ -26,6 +17,7 @@ from mgpert.params import (
     tilt,
     to_heat_coords,
 )
+from oracles import correction_root_variance, heat_residual, psi1_closed_form, reconstruct_psi0
 
 RNG = np.random.default_rng(20240817)
 
@@ -96,31 +88,6 @@ class TestPsi0:
         rms_2h = math.sqrt(np.mean(np.square(r_2h)))
         rms_h = math.sqrt(np.mean(np.square(r_h)))
         assert math.log2(rms_2h / rms_h) > 1.9
-
-
-class TestHeatGreen:
-    def test_coincident_point_value(self):
-        # at x=x', y=y' the kernel equals 1/(4 pi (tau - t))
-        dt = 1.0 / (4.0 * math.pi)
-        assert heat_green(0.3, -1.0, dt, 0.3, -1.0, 0.0) == pytest.approx(1.0)
-
-    def test_symmetry_in_arguments(self):
-        a = heat_green(0.1, 0.2, 0.5, 0.4, -0.3, 0.1)
-        b = heat_green(0.4, -0.3, 0.5, 0.1, 0.2, 0.1)
-        assert a == b
-
-    def test_zero_for_reversed_time(self):
-        assert heat_green(0.0, 0.0, 0.1, 0.0, 0.0, 0.2) == 0.0
-
-    def test_normalization(self):
-        # integrates to 1 over the plane
-        n, L = 400, 12.0
-        dt = 0.03
-        g = np.linspace(-L * math.sqrt(dt), L * math.sqrt(dt), n)
-        w = g[1] - g[0]
-        xx, yy = np.meshgrid(g, g)
-        total = np.sum(heat_green(0.0, 0.0, dt, xx, yy, 0.0)) * w * w
-        assert total == pytest.approx(1.0, abs=1e-6)
 
 
 class TestBreakingOperator:
@@ -197,7 +164,7 @@ class TestPsi1:
         opt = OptionSpec(spot=110.0, strike=100.0, tau_cal=60 / 365, variance=0.18)
         hc = to_heat_coords(opt, scn_pert)
         lhs = opt.strike * tilt(hc, scn_deriv) * psi1_closed_form(hc, scn_pert, scn_deriv)
-        rhs = perturb_correction(opt, scn_pert, scn_deriv, scn_mg.r)
+        rhs = price_mg(opt, scn_mg, scn_pert).c1
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     @given(
@@ -227,7 +194,7 @@ class TestPsi1:
         # psi1 and the tilt must both be representable
         assume(abs(deriv.a * hc.x + deriv.b * hc.y + deriv.c * hc.tau) < 600.0)
         lhs = opt.strike * tilt(hc, deriv) * psi1_closed_form(hc, pert, deriv)
-        rhs = perturb_correction(opt, pert, deriv, r)
+        rhs = price_mg(opt, mg, pert).c1
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_all_terms_equal_c1_only(self, scn_mg, scn_pert, scn_deriv):
@@ -271,7 +238,7 @@ class TestPsi1:
         pert = PerturbParams.from_mg(mg, 0.125)
         deriv = derive_params(mg, pert)
         opt = OptionSpec(spot=100.0, strike=70.0, tau_cal=1.0, variance=0.5)
-        c1 = perturb_correction(opt, pert, deriv, mg.r)
+        c1 = price_mg(opt, mg, pert).c1
         assert c1 == pytest.approx(-1.2886e-3, rel=1e-4)
         with pytest.raises(InvalidParams, match="tilt exponent"):
             psi1_closed_form(to_heat_coords(opt, pert), pert, deriv)
@@ -334,6 +301,12 @@ class TestQuadratureConfig:
     ])
     def test_rejects_values_that_disable_checks(self, kwargs):
         with pytest.raises(InvalidParams):
+            QuadratureConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [{"n_nodes": 4.5}, {"n_time": 64.0}])
+    def test_non_integer_count_rejected(self, kwargs):
+        # each passed the range checks and failed later inside numpy
+        with pytest.raises(InvalidParams, match="integer"):
             QuadratureConfig(**kwargs)
 
     def test_refined_doubles(self):

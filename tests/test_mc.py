@@ -14,10 +14,9 @@ from mgpert.experiments import (
     STATIC_MG,
     STATIC_MONEYNESS,
     STATIC_VOL_GRID,
-    _path_quote_set,
+    _call_quotes,
     run_static_experiment,
     run_timeseries_experiment,
-    write_panel_csv,
 )
 from mgpert.mc import (
     DAYS_PER_YEAR,
@@ -35,6 +34,7 @@ from mgpert.mc import (
     step_euler,
 )
 from mgpert.params import MgParams, OptionSpec
+from oracles import write_panel_csv
 
 FLAT_MG = MgParams(kappa=1e-9, theta=0.04, xi=1e-9, rho=0.0, alpha=1.0)
 
@@ -72,6 +72,14 @@ class TestMcConfig:
 
     def test_n_base(self):
         assert McConfig(n_paths=1000, n_strata=50).n_base == 500
+
+    @pytest.mark.parametrize("kwargs", [
+        {"n_paths": 100.0}, {"n_strata": 2.5}, {"steps_per_day": 1.5},
+    ])
+    def test_non_integer_count_rejected(self, kwargs):
+        # each passed the range checks and failed later inside numpy
+        with pytest.raises(InvalidParams, match="integer"):
+            McConfig(**{"n_paths": 100, **kwargs})
 
 
 class TestEulerStep:
@@ -515,6 +523,11 @@ class TestTimeSeries:
         ("moneyness", (0.9, -1.0)),
         ("moneyness", (0.9, math.nan)),
         ("moneyness", (0.9, math.inf)),
+        # an empty grid gave a panel of 0 rows
+        ("moneyness", ()),
+        # non-integer counts failed later inside numpy
+        ("n_obs", 1.5),
+        ("n_sample_paths", 2.0),
     ])
     def test_spec_validation(self, name, value):
         with pytest.raises(InvalidParams):
@@ -555,7 +568,11 @@ class TestTimeSeries:
         rows = generate_time_series(spec, mg, seed=4)
         start = (mg.kappa, mg.xi, mg.alpha, math.sqrt(spec.v0_init))
         for path_id, fit in enumerate(report.per_path):
-            quotes = _path_quote_set([r for r in rows if r.path_id == path_id], mg)
+            quotes = _call_quotes(
+                [(r.strike / r.moneyness, r.strike, r.maturity_days / DAYS_PER_YEAR, r.v_true,
+                  r.mc_price) for r in rows if r.path_id == path_id],
+                mg.r,
+            )
             ref = calibrate(quotes, start)
             assert fit.theta_pert == ref.theta_pert
             assert fit.ivrmse == ref.ivrmse
