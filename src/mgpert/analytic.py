@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, OutOfBounds
-from .params import MgParams, OptionSpec, PerturbParams, check_kind, derive_params
+from .params import MgParams, OptionSpec, PerturbParams, check_kind, correction_r2
 
 IV_MIN = 1e-4
 IV_MAX = 5.0
@@ -245,10 +245,10 @@ def price_mg(opt: OptionSpec, mg: MgParams, pert: PerturbParams) -> PriceBreakdo
     C0 and d1 come from one _bs_float evaluation, and C1 takes the same
     log S/K; at tau = 0, d1 = d2 is +inf where spot >= strike and -inf below.
     """
-    deriv = derive_params(mg, pert)
+    r2 = correction_r2(mg.kappa, pert.xi0, pert.sigma)
     log_m, kdisc, sqrt_tau = _black_terms(opt.spot, opt.strike, opt.tau_cal, mg.r)
     c0, d1 = _bs_float(pert.sigma, opt.spot, opt.tau_cal, mg.r, opt.kind, log_m, kdisc, sqrt_tau)
-    c1 = correction_kernel(log_m, opt.tau_cal, opt.variance, pert.sigma, deriv.r2, mg.r,
+    c1 = correction_kernel(log_m, opt.tau_cal, opt.variance, pert.sigma, r2, mg.r,
                            np.log(opt.strike))
     return PriceBreakdown(c0=c0, c1=c1, total=c0 + c1, d1=d1, d2=d1 - pert.sigma * sqrt_tau)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .analytic import bs_price, bs_vega, correction_kernel, implied_vol_array
 from .errors import DegenerateParams, EmptyQuoteSet, InvalidParams
-from .params import OptionSpec, correction_r2
+from .params import OptionSpec, correction_r2, symmetric_xi
 
 #: Residual charged to a quote whose model price cannot be inverted to an
 #: implied volatility (50 vol points keeps the objective finite while
@@ -121,7 +121,7 @@ def pert_price_grid(spot, strike, tau, variance, r, kappa, xi, alpha, sigma):
     """
     spot = np.asarray(spot, dtype=float)
     strike = np.asarray(strike, dtype=float)
-    r2 = correction_r2(kappa, xi * sigma ** (2.0 * (alpha - 1.0)), sigma)
+    r2 = correction_r2(kappa, symmetric_xi(xi, alpha, sigma), sigma)
     c1 = correction_kernel(np.log(spot / strike), tau, variance, sigma, r2, r, np.log(strike))
     return bs_price(spot, strike, tau, r, sigma, "call") + c1
 
@@ -248,7 +248,7 @@ def calibrate(quotes: QuoteSet, initial, fix_structurals: bool = False) -> Calib
 
         z0 = np.array([math.log(sigma0)])
     else:
-        sym0 = xi0 * sigma0 ** (2.0 * (alpha0 - 1.0))  # the start's xi0
+        sym0 = symmetric_xi(xi0, alpha0, sigma0)  # the start's xi0
         c = kappa0 / sym0**2
 
         def unpack(z):

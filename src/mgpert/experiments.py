@@ -24,6 +24,7 @@ from .calibration import Quote, QuoteSet, calibrate, pert_price_grid
 from .errors import InvalidParams
 from .mc import (
     DAYS_PER_YEAR,
+    MONEYNESS,
     McConfig,
     TimeSeriesSpec,
     generate_time_series,
@@ -44,7 +45,6 @@ DATASETS = {
 
 STATIC_MG = MgParams(kappa=1.5, theta=0.08, xi=1.5, rho=-0.5, alpha=1.0)
 STATIC_VOL_GRID = (0.35, 0.25, 0.18, 0.10)
-STATIC_MONEYNESS = tuple(np.round(np.linspace(0.9, 1.1, 10), 6))
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ def run_static_experiment(
 ) -> StaticReport:
     """Simulate, calibrate sigma, and report one row per volatility scenario.
 
-    The model is STATIC_MG and the strikes are STATIC_MONEYNESS times spot.
+    The model is STATIC_MG and the strikes are MONEYNESS times spot.
     v_grid entries are initial volatilities; the simulation starts the
     variance process at v^2.  The scenarios are simulated in one call, on
     one draw stream, and each is priced from its own paths: the same bits
@@ -105,7 +105,7 @@ def run_static_experiment(
         raise InvalidParams(f"maturity_days must be finite and > 0, got {maturity_days}")
     mg = STATIC_MG
     tau = maturity_days / DAYS_PER_YEAR
-    strikes = [m * spot for m in STATIC_MONEYNESS]
+    strikes = [m * spot for m in MONEYNESS]
     rows, curves, results = [], [], []
     starts = [v_init**2 for v_init in v_grid]
     paths = simulate_surface(spot, starts, [maturity_days], mg, mc_cfg)

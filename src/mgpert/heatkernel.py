@@ -4,9 +4,10 @@ Everything here works on the dimensionless fields: the exact symmetric
 solution psi0, the symmetry-breaking operator applied to psi0, and a
 numerical-quadrature reconstruction of the leading-order correction psi1
 against the 2+1 heat kernel.  The quadrature is deliberately independent
-of the closed-form pricer: x-derivatives of psi0 are taken by central
-finite differences, only the y-derivatives use the exact exponential
-factorization d/dy psi0 = -b psi0.
+of the closed-form pricer: x-derivatives of psi0 are central differences
+of step FD_STEP, only the y-derivatives use the exact exponential
+factorization d/dy psi0 = -b psi0.  breaking_operator_grid returns the
+operator's four terms, stacked.
 
 That factorization is why acceptance 2 reports ratios of exactly 0 for the
 c2-c4 terms of the breaking operator: with f_y = -b f, f_yy = b^2 f and
@@ -42,27 +43,27 @@ from .errors import InvalidParams, QuadratureNotConverged
 from .params import DerivedParams, HeatCoords, MgParams, PerturbParams, check_counts
 
 
+#: spatial half-width of the quadrature grid, in kernel scales 2 sqrt(tau - t)
+HALF_WIDTH = 8.0
+#: central-difference step for the x-derivatives of psi0
+FD_STEP = 1e-4
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Controls for the triple-integral quadrature.
+    """Controls for the triple-integral quadrature.  The spatial half-width
+    and the finite-difference step are fixed: HALF_WIDTH and FD_STEP.
 
-    half_width   spatial half-width in units of the kernel scale 2*sqrt(tau-t)
-                 (>= 6 guarantees the kernel mass is covered)
     n_nodes      Gauss-Legendre nodes per spatial axis
     n_time       Gauss-Legendre nodes for the 0..tau layer
-    fd_step      central-difference step for x-derivatives of psi0
     rel_tol      accepted relative difference between successive refinements
     """
 
-    half_width: float = 8.0
     n_nodes: int = 128
     n_time: int = 64
-    fd_step: float = 1e-4
     rel_tol: float = 1e-3
 
     def __post_init__(self):
-        if not 6.0 <= self.half_width < math.inf:
-            raise InvalidParams(f"half_width must be finite and >= 6, got {self.half_width}")
         # a NaN, zero or negative tolerance would switch the refinement check off
         if not 0.0 < self.rel_tol < math.inf:
             raise InvalidParams(f"rel_tol must be finite and > 0, got {self.rel_tol}")
@@ -73,8 +74,6 @@ class QuadratureConfig:
             raise InvalidParams(f"n_nodes must be >= 4, got {self.n_nodes}")
         if not self.n_time >= 4:
             raise InvalidParams(f"n_time must be >= 4, got {self.n_time}")
-        if not 1e-6 <= self.fd_step <= 1e-3:
-            raise InvalidParams(f"fd_step must be in [1e-6, 1e-3], got {self.fd_step}")
 
     def refined(self) -> "QuadratureConfig":
         return replace(self, n_nodes=2 * self.n_nodes, n_time=2 * self.n_time)
@@ -145,32 +144,17 @@ def _x_stencil(field, x, h):
     return f0, (fp - fm) / (2.0 * h), (fp - 2.0 * f0 + fm) / h**2
 
 
-def breaking_operator_grid(
-    x,
-    y,
-    tau,
-    mg: MgParams,
-    pert: PerturbParams,
-    deriv: DerivedParams,
-    c1: float = 1.0,
-    c2: float = 1.0,
-    c3: float = 1.0,
-    c4: float = 1.0,
-    fd_step: float = 1e-4,
-):
-    """Symmetry-breaking operator applied to psi0, vectorized over the grid.
+def breaking_operator_grid(x, y, tau, mg: MgParams, pert: PerturbParams, deriv: DerivedParams):
+    """The four terms of the symmetry-breaking operator applied to psi0,
+    stacked on a leading axis of length 4 and vectorized over the grid.
 
     y-derivatives are exact (psi0's y-factor is e^{-b y}); x-derivatives use
-    central differences with step fd_step.
+    central differences with step FD_STEP.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    f = _x_stencil(lambda xs: psi0_grid(xs, y, tau, deriv), x, fd_step)
-    out = np.zeros(np.broadcast(x, y).shape)
-    for c, (coef, bracket) in zip((c1, c2, c3, c4), _breaking_terms(mg, pert, deriv)):
-        if c:
-            out = out + c * coef(y) * bracket(*f)
-    return out
+    f = _x_stencil(lambda xs: psi0_grid(xs, y, tau, deriv), x, FD_STEP)
+    return np.stack([coef(y) * bracket(*f) for coef, bracket in _breaking_terms(mg, pert, deriv)])
 
 
 @functools.lru_cache(maxsize=16)
@@ -194,7 +178,7 @@ def _psi1_single_grid(coords, mg, pert, deriv, qcfg, c_flags):
     and each slice costs two 1-D sums per term instead of one 2-D sum.
     """
     x, y, tau = coords.x, coords.y, coords.tau
-    L = qcfg.half_width
+    L = HALF_WIDTH
     ns, nt = qcfg.n_nodes, qcfg.n_time
 
     full_n, full_w = _leggauss(ns)
@@ -221,7 +205,7 @@ def _psi1_single_grid(coords, mg, pert, deriv, qcfg, c_flags):
     uw = np.concatenate(w_slices) * np.exp(-(u**2))
     t_u = np.repeat(t_nodes, sizes)
     g = _x_stencil(lambda xs: psi0_grid(xs, 0.0, t_u, deriv),
-                   x + np.repeat(scale, sizes) * u, qcfg.fd_step)
+                   x + np.repeat(scale, sizes) * u, FD_STEP)
 
     v = full_n * L
     vw = full_w * L * np.exp(-(v**2))

@@ -48,16 +48,19 @@ STEP_CHUNK = 8192
 #: simulations holds: a sample path's observations go this many bytes at a
 #: time, and at least one at a time
 SURFACE_BYTES = 32 * 2**20
+#: K/S of the strikes both studies quote: 10 points from 0.9 to 1.1
+MONEYNESS = tuple(np.round(np.linspace(0.9, 1.1, 10), 6))
 
 
 def _philox(*words):
     """Philox generator keyed by up to two 64-bit words.
 
     The key must be an explicit uint64 array: a plain int list would be
-    converted through float64 and silently lose the low key bits.
+    converted through float64 and silently lose the low key bits.  Each word
+    is reduced mod 2^64 as a Python int, since a numpy int64 overflows on it.
     """
     padded = list(words) + [0] * (2 - len(words))
-    key = np.array([w % 2**64 for w in padded], dtype=np.uint64)
+    key = np.array([int(w) % 2**64 for w in padded], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -69,7 +72,7 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_counts(self, "n_paths", "steps_per_day", "n_strata")
+        check_counts(self, "n_paths", "steps_per_day", "n_strata", "seed")
         if self.n_paths < 2 or self.n_paths % 2:
             raise InvalidParams(f"n_paths must be a positive even number, got {self.n_paths}")
         if self.steps_per_day < 1:
@@ -101,7 +104,7 @@ class TimeSeriesSpec:
     n_sample_paths: int = 10
     n_obs: int = 12
     maturities: tuple = (7, 30, 60, 90, 120, 180)
-    moneyness: tuple = tuple(np.round(np.linspace(0.9, 1.1, 10), 6))
+    moneyness: tuple = MONEYNESS
     mc: McConfig = field(
         default_factory=lambda: McConfig(n_paths=10_000, steps_per_day=20)
     )
@@ -123,22 +126,18 @@ class TimeSeriesSpec:
             raise InvalidParams("n_sample_paths and n_obs must be >= 1")
 
 
-def step_euler(s, v, dt, z_s, z_v, mg: MgParams, work=None):
-    """One explicit Euler step; the drift/diffusion consume V+ = max(V, 0).
+def step_euler(s, v, dt, z_s, z_v, mg: MgParams, work):
+    """One explicit Euler step, in place; the drift/diffusion consume V+ = max(V, 0).
 
     S' = S + (r S) dt + (S sqrt(V+ dt)) z_s
     V' = V + (kappa (theta - V+)) dt + ((xi V+^alpha) sqrt(dt)) z_v
 
-    With work = three float arrays shaped like s, the step updates s and v
-    in place through those buffers and allocates nothing; without it, new
-    arrays are returned and the inputs are left unchanged.  Both forms keep
-    the association order above, so they give the same bytes as evaluating
-    it directly.  The r term is skipped when r == 0 (s + 0.0 == s) and the
+    s and v are float arrays, updated in place through work, three float
+    arrays shaped like s, so the step allocates nothing.  It keeps the
+    association order above, so it gives the same bytes as evaluating it
+    directly.  The r term is skipped when r == 0 (s + 0.0 == s) and the
     power when alpha == 1 (v**1.0 == v), both exact.
     """
-    if work is None:
-        s, v = np.array(s, dtype=float), np.array(v, dtype=float)
-        work = (np.empty_like(s), np.empty_like(s), np.empty_like(s))
     v_plus, a, b = work
     np.maximum(v, 0.0, out=v_plus)
 
@@ -189,11 +188,11 @@ def _first_step_shocks(rng, cfg: McConfig, rho: float):
     return z_s, z_v
 
 
-def _step_shocks(rng, n, rho, out=None):
-    """Correlated normals for one step: z_v is drawn first, then the asset's
-    own normal.  With out = (z_s, z_v, scratch), three n-wide buffers, the
-    draws fill them in place."""
-    z_s, z_v, own = out if out is not None else (np.empty(n), np.empty(n), np.empty(n))
+def _step_shocks(rng, rho, out):
+    """Correlated normals for one step, drawn in place into out = (z_s, z_v,
+    scratch), three buffers of one width: z_v is drawn first, then the
+    asset's own normal."""
+    z_s, z_v, own = out
     rng.standard_normal(out=z_v)
     rng.standard_normal(out=own)
     np.multiply(rho, z_v, out=z_s)
@@ -383,7 +382,7 @@ def simulate_euler(
         if k == 1:
             z_s[:n], z_v[:n] = _first_step_shocks(rng, cfg, mg.rho)
         else:
-            _step_shocks(rng, n, mg.rho, drawn)
+            _step_shocks(rng, mg.rho, drawn)
         np.negative(z_s[:n], out=z_s[n:])
         np.negative(z_v[:n], out=z_v[n:])
         step_euler(s, v, dt, z_s, z_v, mg, work)
@@ -517,16 +516,16 @@ def generate_time_series(spec: TimeSeriesSpec, mg: MgParams, seed: int = 0, path
     dt_obs = spec.obs_step_days / DAYS_PER_YEAR
     surface_bytes = 2 * len(spec.maturities) * spec.mc.n_paths * 8
     per_call = max(1, SURFACE_BYTES // surface_bytes)
+    shocks, work = np.empty((3, 1)), np.empty((3, 1))
     for path_id in paths:
         path_rng = _philox(seed, path_id)
-        s, v = spec.spot0, spec.v0_init
-        spots, v_plus = [s], [max(v, 0.0)]
+        s, v = np.array([spec.spot0]), np.array([spec.v0_init])
+        spots, v_plus = [spec.spot0], [max(spec.v0_init, 0.0)]
         for _ in range(spec.n_obs - 1):  # the weekly state, one Euler step a week
-            z_s, z_v = _step_shocks(path_rng, 1, mg.rho)
-            s_arr, v_arr = step_euler(np.array([s]), np.array([v]), dt_obs, z_s, z_v, mg)
-            s, v = float(s_arr[0]), float(v_arr[0])
-            spots.append(s)
-            v_plus.append(max(v, 0.0))
+            z_s, z_v = _step_shocks(path_rng, mg.rho, shocks)
+            step_euler(s, v, dt_obs, z_s, z_v, mg, work)
+            spots.append(float(s[0]))
+            v_plus.append(max(float(v[0]), 0.0))
         for first in range(0, spec.n_obs, per_call):
             last = min(first + per_call, spec.n_obs)
             # pricing stream distinct from the state stream: different first

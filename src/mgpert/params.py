@@ -30,8 +30,8 @@ def check_kind(kind) -> None:
 
 
 def check_counts(obj, *names):
-    """A float or other non-integer count passes every ordering check and
-    fails later inside numpy, so reject it first."""
+    """A non-integer count passes every ordering check and fails later
+    inside numpy, and a float seed is truncated, so reject them first."""
     for name in names:
         value = getattr(obj, name)
         if not isinstance(value, numbers.Integral):
@@ -110,8 +110,13 @@ class PerturbParams:
 
     @classmethod
     def from_mg(cls, mg: MgParams, sigma: float, v0: float = DEFAULT_V0) -> "PerturbParams":
-        """Build with the dimensional linkage xi0 = xi * sigma^(2(alpha-1))."""
-        return cls(sigma=sigma, xi0=mg.xi * sigma ** (2.0 * (mg.alpha - 1.0)), v0=v0)
+        return cls(sigma=sigma, xi0=symmetric_xi(mg.xi, mg.alpha, sigma), v0=v0)
+
+
+def symmetric_xi(xi, alpha, sigma):
+    """The symmetric model's vol-of-vol, by the dimensional linkage
+    xi0 = xi * sigma^(2(alpha-1))."""
+    return xi * sigma ** (2.0 * (alpha - 1.0))
 
 
 @dataclass(frozen=True)

@@ -76,11 +76,8 @@ class TestAcceptance:
         x = RNG.uniform(-0.3, 0.3, n)
         y = RNG.uniform(-4.0, -1.0, n)
         tau = RNG.uniform(0.0005, 0.01, n)
-        base = np.abs(breaking_operator_grid(x, y, tau, mg, pert, deriv, 1, 0, 0, 0))
-        ratios = []
-        for flags in [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]:
-            term = np.abs(breaking_operator_grid(x, y, tau, mg, pert, deriv, *flags))
-            ratios.append(float(np.max(term / base)))
+        base, *others = np.abs(breaking_operator_grid(x, y, tau, mg, pert, deriv))
+        ratios = [float(np.max(term / base)) for term in others]
         hc = HeatCoords(0.05, math.log(0.09), 0.003)
         q_all = psi1_quadrature(hc, mg, pert, deriv)
         q_c1 = psi1_quadrature(hc, mg, pert, deriv, c_flags=(1, 0, 0, 0))
@@ -162,7 +159,7 @@ class TestAcceptance:
             return psi1_closed_form(HeatCoords(x, y, tau), pert, deriv)
 
         def src(x, y, tau):
-            return -float(breaking_operator_grid(x, y, tau, mg, pert, deriv, 1, 0, 0, 0))
+            return -float(breaking_operator_grid(x, y, tau, mg, pert, deriv)[0])
 
         h = 1e-3
         orders = []

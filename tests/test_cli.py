@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import shlex
 import subprocess
 import sys
@@ -282,6 +283,27 @@ def _exit_code(argv):
         return exc.code
 
 
+def unread_dests(leaves, source):
+    """Each leaf command's option dests that the source never reads as ns.<dest>."""
+    read = set(re.findall(r"\bns\.(\w+)", source))
+    return sorted({action.dest for leaf in leaves.values() for action in leaf._actions
+                   if action.dest != "help"} - read)
+
+
+CLI_SOURCE = Path(cli.__file__).read_text(encoding="utf-8")
+
+
+def test_every_option_is_read():
+    # a flag that no handler reads parses, lands in the config hash, and does nothing
+    assert unread_dests(LEAVES, CLI_SOURCE) == []
+
+
+def test_unread_option_is_found():
+    leaves = cli.build_parser()[1]
+    leaves[cli.cmd_oracle_check].add_argument("--half-width", type=float, default=8.0)
+    assert unread_dests(leaves, CLI_SOURCE) == ["half_width"]
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -317,7 +339,7 @@ def test_readme_command_parses(argv):
 class TestInProcessValidation:
     def test_float_flag_lists_cover_every_float_flag(self):
         assert len(PRICE_FLOAT_FLAGS) == 12
-        assert len(ORACLE_FLOAT_FLAGS) == 18
+        assert len(ORACLE_FLOAT_FLAGS) == 16
 
     @given(st.sampled_from(CONFIG_CASES))
     @example((("price",), "spot", "abc"))
@@ -338,7 +360,7 @@ class TestInProcessValidation:
 
     @given(st.sampled_from(ORACLE_FLOAT_FLAGS), st.sampled_from(["nan", "inf", "-inf"]))
     def test_oracle_check_rejects_non_finite_flags(self, flag, value):
-        # --rel-tol, --half-width, --rel-pass and --abs-pass used to disable checks
+        # --rel-tol, --rel-pass and --abs-pass used to disable checks
         assert cli.main(["oracle-check", f"{flag}={value}"]) == cli.EXIT_VALIDATION
 
     @pytest.mark.filterwarnings("error")
@@ -402,6 +424,19 @@ class TestInProcessValidation:
         cfg.write_text(f"{key}=false\n")
         for argv in ([f"--{key}", "false"], ["--config", str(cfg)]):
             assert _exit_code(["mc-price", "--paths", "2000", *argv]) == cli.EXIT_VALIDATION
+
+    @pytest.mark.parametrize("flag, key", [("--half-width=8", "half_width=8"),
+                                           ("--fd-step=1e-4", "fd_step=1e-4")])
+    def test_quadrature_numerics_settings_removed(self, flag, key, tmp_path, monkeypatch):
+        # the half-width and the stencil step are fixed: heatkernel.HALF_WIDTH, FD_STEP
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("ran the quadrature")
+
+        monkeypatch.setattr(cli, "psi1_quadrature", no_quadrature)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(key + "\n")
+        for argv in ([flag], ["--config", str(cfg)]):
+            assert _exit_code(["oracle-check", *argv]) == cli.EXIT_VALIDATION
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_full_preset_removed(self, source, tmp_path, monkeypatch):

@@ -96,19 +96,21 @@ class TestBreakingOperator:
     ):
         # the three non-c1 terms vanish on psi0 up to FD noise in x
         x, y, tau = random_coords(200, tau_range=(0.001, 0.01))
-        base = np.abs(
-            breaking_operator_grid(x, y, tau, scn_mg, scn_pert, scn_deriv, 1, 0, 0, 0)
-        )
-        for flags in [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]:
-            term = np.abs(
-                breaking_operator_grid(x, y, tau, scn_mg, scn_pert, scn_deriv, *flags)
-            )
+        base, *others = np.abs(breaking_operator_grid(x, y, tau, scn_mg, scn_pert, scn_deriv))
+        for term in others:
             assert np.max(term / base) < 1e-6
 
     def test_c3_vanishes_identically_at_alpha_one(self, scn_mg, scn_pert, scn_deriv):
         # at alpha=1, v0=1 the diffusion mismatch prefactor is xi^2 - xi0^2 = 0
-        got = breaking_operator_grid(0.1, -2.0, 0.005, scn_mg, scn_pert, scn_deriv, 0, 0, 1, 0)
+        got = breaking_operator_grid(0.1, -2.0, 0.005, scn_mg, scn_pert, scn_deriv)[2]
         assert got == 0.0
+
+    def test_terms_stack_on_a_leading_axis(self, scn_mg, scn_pert, scn_deriv):
+        x = np.array([[-0.2, 0.0, 0.1], [0.05, 0.2, -0.1]])
+        grid = breaking_operator_grid(x, -2.0, 0.005, scn_mg, scn_pert, scn_deriv)
+        point = breaking_operator_grid(0.2, -2.0, 0.005, scn_mg, scn_pert, scn_deriv)
+        assert grid.shape == (4, 2, 3) and point.shape == (4,)
+        np.testing.assert_allclose(grid[:, 1, 1], point, rtol=1e-6, atol=0.0)
 
 
 class TestBreakingTermsVanishExactly:
@@ -123,9 +125,9 @@ class TestBreakingTermsVanishExactly:
         mg = MgParams(kappa=1.5, theta=0.08, xi=1.5, rho=-0.5, alpha=alpha)
         pert = PerturbParams.from_mg(mg, 0.2865)
         deriv = derive_params(mg, pert)
-        for flags in [(0, 1, 0, 0), (0, 0, 0, 1)]:
-            term = breaking_operator_grid(x, y, tau, mg, pert, deriv, *flags)
-            assert np.count_nonzero(term) == 0
+        terms = breaking_operator_grid(x, y, tau, mg, pert, deriv)
+        for k in (1, 3):
+            assert np.count_nonzero(terms[k]) == 0
 
     def test_c2_c4_quadrature_exactly_zero(self, scn_mg, scn_pert, scn_deriv):
         hc = HeatCoords(0.05, math.log(0.09), 0.003)
@@ -220,9 +222,7 @@ class TestPsi1:
             return psi1_closed_form(HeatCoords(x, y, tau), scn_pert, scn_deriv)
 
         def source(x, y, tau):
-            return -float(
-                breaking_operator_grid(x, y, tau, scn_mg, scn_pert, scn_deriv, 1, 0, 0, 0)
-            )
+            return -float(breaking_operator_grid(x, y, tau, scn_mg, scn_pert, scn_deriv)[0])
 
         pts = [(0.05, -2.4, 0.02), (0.0, -2.0, 0.03), (-0.1, -3.0, 0.025)]
         h = 1e-3
@@ -289,15 +289,13 @@ class TestRecordedTensorValues:
 class TestQuadratureConfig:
     def test_validation(self):
         with pytest.raises(InvalidParams):
-            QuadratureConfig(half_width=2.0)
-        with pytest.raises(InvalidParams):
             QuadratureConfig(n_nodes=2)
         with pytest.raises(InvalidParams):
-            QuadratureConfig(fd_step=1e-8)
+            QuadratureConfig(n_time=2)
 
     @pytest.mark.parametrize("kwargs", [
         {"rel_tol": math.nan}, {"rel_tol": 0.0}, {"rel_tol": -1.0},
-        {"rel_tol": math.inf}, {"half_width": math.inf}, {"half_width": math.nan},
+        {"rel_tol": math.inf},
     ])
     def test_rejects_values_that_disable_checks(self, kwargs):
         with pytest.raises(InvalidParams):

@@ -12,7 +12,6 @@ from mgpert.errors import InvalidParams
 from mgpert.experiments import (
     DATASETS,
     STATIC_MG,
-    STATIC_MONEYNESS,
     STATIC_VOL_GRID,
     _call_quotes,
     run_static_experiment,
@@ -20,6 +19,7 @@ from mgpert.experiments import (
 )
 from mgpert.mc import (
     DAYS_PER_YEAR,
+    MONEYNESS,
     McConfig,
     TimeSeriesSpec,
     _estimate,
@@ -81,13 +81,26 @@ class TestMcConfig:
         with pytest.raises(InvalidParams, match="integer"):
             McConfig(**{"n_paths": 100, **kwargs})
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, np.float64(1.0)])
+    def test_non_integer_seed_rejected(self, seed):
+        # 1.5 keyed the Philox stream as 1 and priced with seed 1's bits
+        with pytest.raises(InvalidParams, match="seed must be an integer"):
+            McConfig(n_paths=200, n_strata=10, seed=seed)
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(3), 2**70])
+    def test_integer_seeds_accepted(self, seed):
+        # _philox reduces every integer mod 2**64
+        opt = OptionSpec(spot=100.0, strike=100.0, tau_cal=10 / 365, variance=0.04)
+        mp = price_option_mc(opt, FLAT_MG, McConfig(n_paths=200, n_strata=10, seed=seed))
+        assert math.isfinite(mp.estimate)
+
 
 class TestEulerStep:
     def test_long_run_variance_is_near_fixed_point(self):
         mg = MgParams(kappa=2.0, theta=0.05, xi=1e-12, rho=0.0, alpha=1.0)
         s = np.array([100.0])
         v = np.array([0.05])
-        s2, v2 = step_euler(s, v, 1e-3, np.array([0.0]), np.array([1.0]), mg)
+        s2, v2 = step_euler(s, v, 1e-3, np.array([0.0]), np.array([1.0]), mg, np.empty((3, 1)))
         assert v2[0] == pytest.approx(0.05, abs=1e-12)
 
     def test_full_truncation_on_negative_variance(self):
@@ -95,7 +108,7 @@ class TestEulerStep:
         dt = 1e-3
         s = np.array([100.0])
         v = np.array([-0.01])
-        s2, v2 = step_euler(s, v, dt, np.array([1.0]), np.array([1.0]), mg)
+        s2, v2 = step_euler(s, v, dt, np.array([1.0]), np.array([1.0]), mg, np.empty((3, 1)))
         # V+ = 0: asset diffuses nothing, variance drifts by kappa*theta*dt
         assert s2[0] == pytest.approx(100.0)
         assert v2[0] == pytest.approx(-0.01 + 2.0 * 0.05 * dt, abs=1e-15)
@@ -104,7 +117,7 @@ class TestEulerStep:
         mg = MgParams(kappa=1.0, theta=0.05, xi=0.3, rho=0.0, alpha=1.0, r=0.02)
         s = np.array([100.0])
         v = np.array([0.04])
-        s2, v2 = step_euler(s, v, 0.01, np.array([0.0]), np.array([0.0]), mg)
+        s2, v2 = step_euler(s, v, 0.01, np.array([0.0]), np.array([0.0]), mg, np.empty((3, 1)))
         assert s2[0] == pytest.approx(100.0 * (1 + 0.02 * 0.01))
         assert v2[0] == pytest.approx(0.04 + 1.0 * 0.01 * 0.01)
 
@@ -209,7 +222,7 @@ class TestSurface:
         # Euler seed 2 is not used: at v = 0.35 its whole smile sits 3.2-3.4
         # SE below a 10^6-path conditional surface, the worst of seeds 0-29
         # (whose z-scores have mean -0.04 to -0.17 and sd 1.04-1.15)
-        strikes = [100.0 * m for m in STATIC_MONEYNESS]
+        strikes = [100.0 * m for m in MONEYNESS]
         for v in STATIC_VOL_GRID:
             cond = price_surface_mc(100.0, v * v, [30.0], strikes, STATIC_MG,
                                     McConfig(n_paths=40_000, seed=1))
@@ -384,7 +397,7 @@ class TestSharedStream:
         assert [row.v_init for row in report.rows] == list(v_grid)
         # each scenario's surface is what its own simulation gives
         monkeypatch.undo()
-        strikes = [100.0 * m for m in STATIC_MONEYNESS]
+        strikes = [100.0 * m for m in MONEYNESS]
         for v, surface in zip(v_grid, surfaces):
             assert surface == price_surface_mc(100.0, v**2, [30.0], strikes, STATIC_MG, cfg)
 
