@@ -8,8 +8,8 @@ parity on the symmetric part.
 
 _d1 is the one d1, _black the one Black-Scholes formula, _put_parity the
 one put-call parity and _vega the one vega; each runs on Python floats and
-on numpy arrays alike.  The float kernels _bs_float and _implied_vol_float
-serve one contract, through price_mg and implied_vol; bs_price and
+on numpy arrays alike.  price_mg, through the float kernel _bs_float, and
+implied_vol serve one contract on Python floats; bs_price and
 implied_vol_array run numpy on any shape, 0-d included.  The two give the
 same bits:
 - Phi is _ndtr_float, a pure-Python port of Cephes' ndtr (Moshier 1989),
@@ -264,62 +264,46 @@ def _price_bracket(spot, strike, tau, r, kind):
 def implied_vol(price: float, opt: OptionSpec, r: float) -> float:
     """Invert Black-Scholes for the volatility reproducing `price`.
 
-    implied_vol_array on one contract, run on Python floats by
-    _implied_vol_float with the same bits.  Raises OutOfBounds at
-    tau_cal = 0 or when the price is outside the no-arbitrage bracket, and
-    NoConvergence where the inversion gives NaN: the price needs a
-    volatility above IV_MAX, or the inversion reached IV_MAX_ITER
-    iterations.
+    implied_vol_array's loop for one contract, step for step on Python
+    floats, with the same bits.  Raises OutOfBounds at tau_cal = 0 or when
+    the price is outside the no-arbitrage bracket, and NoConvergence where
+    implied_vol_array gives NaN otherwise: the price needs a volatility above
+    IV_MAX, or the inversion reached IV_MAX_ITER iterations.
     """
     if opt.tau_cal <= 0:
         raise OutOfBounds("tau_cal must be > 0 for implied volatility")
-    sigma = _implied_vol_float(
-        float(price), float(opt.spot), float(opt.strike), float(opt.tau_cal), float(r), opt.kind
-    )
-    if math.isnan(sigma):
-        # the inversion checked the bracket; recompute it only to name the failure
-        lo_bound, hi_bound = _price_bracket(opt.spot, opt.strike, opt.tau_cal, r, opt.kind)
-        if not lo_bound <= price < hi_bound:
-            raise OutOfBounds(
-                f"price {price} outside no-arbitrage range [{lo_bound}, {hi_bound})"
-            )
-        raise NoConvergence(
-            f"no volatility in [{IV_MIN}, {IV_MAX}] reproduces price {price} "
-            f"within {IV_MAX_ITER} iterations"
-        )
-    return sigma
-
-
-def _implied_vol_float(price, spot, strike, tau, r, kind):
-    """implied_vol_array's loop for one contract on Python floats, step for step."""
+    price, spot, strike, tau, r = map(float, (price, opt.spot, opt.strike, opt.tau_cal, r))
+    kind = opt.kind
     lo_bound, hi_bound = _price_bracket(spot, strike, tau, r, kind)
     if not lo_bound <= price < hi_bound:
-        return math.nan
+        raise OutOfBounds(f"price {price} outside no-arbitrage range [{lo_bound}, {hi_bound})")
     terms = _black_terms(spot, strike, tau, r)
     if _bs_float(IV_MIN, spot, tau, r, kind, *terms)[0] - price >= 0:
         return IV_MIN
-    if not _bs_float(IV_MAX, spot, tau, r, kind, *terms)[0] - price > 0:
-        return math.nan
-    spot_root = spot * terms[2]
-    lo, hi, sigma = IV_MIN, IV_MAX, 0.3
-    for _ in range(IV_MAX_ITER):
-        call, d1 = _bs_float(sigma, spot, tau, r, kind, *terms)
-        diff = call - price
-        if abs(diff) <= IV_PRICE_TOL:
-            return sigma
-        # a NaN diff moves neither end, as in the numpy loop
-        if diff > 0:
-            hi = sigma
-        elif diff <= 0:
-            lo = sigma
-        vega = float(_vega(spot_root, d1))
-        mid = 0.5 * (lo + hi)
-        if vega > 1e-12:
-            newton = sigma - diff / vega
-            sigma = newton if lo < newton < hi else mid
-        else:
-            sigma = mid
-    return math.nan
+    if _bs_float(IV_MAX, spot, tau, r, kind, *terms)[0] - price > 0:
+        spot_root = spot * terms[2]
+        lo, hi, sigma = IV_MIN, IV_MAX, 0.3
+        for _ in range(IV_MAX_ITER):
+            call, d1 = _bs_float(sigma, spot, tau, r, kind, *terms)
+            diff = call - price
+            if abs(diff) <= IV_PRICE_TOL:
+                return sigma
+            # a NaN diff moves neither end, as in the numpy loop
+            if diff > 0:
+                hi = sigma
+            elif diff <= 0:
+                lo = sigma
+            vega = float(_vega(spot_root, d1))
+            mid = 0.5 * (lo + hi)
+            if vega > 1e-12:
+                newton = sigma - diff / vega
+                sigma = newton if lo < newton < hi else mid
+            else:
+                sigma = mid
+    raise NoConvergence(
+        f"no volatility in [{IV_MIN}, {IV_MAX}] reproduces price {price} "
+        f"within {IV_MAX_ITER} iterations"
+    )
 
 
 def implied_vol_array(prices, spot, strikes, tau, r, kind="call"):
@@ -332,10 +316,10 @@ def implied_vol_array(prices, spot, strikes, tau, r, kind="call"):
     needs a volatility above IV_MAX, and one still outside the tolerance
     after IV_MAX_ITER iterations.
 
-    Runs numpy on any shape; 0-d input gives a 0-d array.
-    _implied_vol_float, implied_vol's kernel, runs the same loop on Python
-    floats and gives the same bits (see the module docstring).  Raises
-    InvalidParams unless kind is "call" or "put".
+    Runs numpy on any shape; 0-d input gives a 0-d array.  implied_vol
+    runs the same loop on one contract's Python floats and gives the same
+    bits (see the module docstring).  Raises InvalidParams unless kind is
+    "call" or "put".
     """
     check_kind(kind)
     prices = np.asarray(prices, dtype=float)

@@ -37,15 +37,11 @@ JAC_STEP = 6e-6
 
 @dataclass(frozen=True)
 class Quote:
-    """One observed option: either a price or an implied vol (or both)."""
+    """One observed option price, a call's or a put's; QuoteSet inverts it
+    to an implied vol."""
 
     opt: OptionSpec
-    price: float | None = None
-    iv: float | None = None
-
-    def __post_init__(self):
-        if self.price is None and self.iv is None:
-            raise InvalidParams("quote needs a price or an implied vol")
+    price: float
 
 
 def _implied_vols(prices, spot, strike, tau, r, kind="call"):
@@ -73,12 +69,15 @@ class QuoteSet:
     def __post_init__(self):
         if not self.quotes:
             raise EmptyQuoteSet("quote set must be nonempty")
+        # a non-finite rate would drop every quote as uninvertible
+        if not math.isfinite(self.r):
+            raise InvalidParams(f"r must be finite, got {self.r}")
 
     def arrays(self):
         """(spot, strike, tau, variance, observed_iv) arrays over usable quotes.
 
-        Price quotes are inverted by _implied_vols, once per kind; the
-        arrays keep the quotes' order.
+        The prices are inverted by _implied_vols, once per kind; the arrays
+        keep the quotes' order.
         """
         if "arrays" not in self._cache:
             quotes = self.quotes
@@ -86,13 +85,12 @@ class QuoteSet:
                 np.array([getattr(q.opt, a) for q in quotes], dtype=float)
                 for a in ("spot", "strike", "tau_cal", "variance")
             )
-            given = np.array([q.iv is not None for q in quotes])
-            # each quote's implied vol, or its price until inverted
-            iv = np.array([q.price if q.iv is None else q.iv for q in quotes], dtype=float)
+            # each quote's price until inverted
+            iv = np.array([q.price for q in quotes], dtype=float)
             for kind in ("call", "put"):
-                sel = ~given & np.array([q.opt.kind == kind for q in quotes])
+                sel = np.array([q.opt.kind == kind for q in quotes])
                 iv[sel] = _implied_vols(iv[sel], spot[sel], strike[sel], tau[sel], self.r, kind)
-            keep = given | np.isfinite(iv)
+            keep = np.isfinite(iv)
             self._cache["arrays"] = tuple(a[keep] for a in (spot, strike, tau, var, iv))
             self._cache["n_dropped"] = len(quotes) - int(np.count_nonzero(keep))
         return self._cache["arrays"]

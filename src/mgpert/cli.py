@@ -345,9 +345,9 @@ def build_parser():
     p.add_argument("--rel-tol", type=float, default=1e-3,
                    help="quadrature refinement tolerance [relative]")
     p.add_argument("--moneyness-min", type=float, default=0.9,
-                   help="lowest S/K on the grid [ratio]")
+                   help="lowest K/S on the grid [ratio]")
     p.add_argument("--moneyness-max", type=float, default=1.1,
-                   help="highest S/K on the grid [ratio]")
+                   help="highest K/S on the grid [ratio]")
     p.add_argument("--moneyness-points", type=int, default=5,
                    help="moneyness grid points [count]")
     p.add_argument("--variance-min", type=float, default=0.01,

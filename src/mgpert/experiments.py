@@ -89,15 +89,14 @@ def _call_quotes(contracts, r: float) -> QuoteSet:
 
 def run_static_experiment(
     mc_cfg: McConfig,
-    v_grid=STATIC_VOL_GRID,
     maturity_days: float = 30.0,
     spot: float = 100.0,
 ) -> StaticReport:
     """Simulate, calibrate sigma, and report one row per volatility scenario.
 
-    The model is STATIC_MG and the strikes are MONEYNESS times spot.
-    v_grid entries are initial volatilities; the simulation starts the
-    variance process at v^2.  The scenarios are simulated in one call, on
+    The model is STATIC_MG and the strikes are MONEYNESS times spot.  The
+    scenarios are STATIC_VOL_GRID's initial volatilities v; the simulation
+    starts the variance process at v^2.  They are simulated in one call, on
     one draw stream, and each is priced from its own paths: the same bits
     as a simulation per scenario, which would draw the same normals again.
     """
@@ -107,9 +106,9 @@ def run_static_experiment(
     tau = maturity_days / DAYS_PER_YEAR
     strikes = [m * spot for m in MONEYNESS]
     rows, curves, results = [], [], []
-    starts = [v_init**2 for v_init in v_grid]
+    starts = [v_init**2 for v_init in STATIC_VOL_GRID]
     paths = simulate_surface(spot, starts, [maturity_days], mg, mc_cfg)
-    for v_init, variance0, *scenario_paths in zip(v_grid, starts, *paths):
+    for v_init, variance0, *scenario_paths in zip(STATIC_VOL_GRID, starts, *paths):
         surface = price_surface_mc(
             spot, variance0, [maturity_days], strikes, mg, mc_cfg, paths=scenario_paths
         )

@@ -30,6 +30,7 @@ this module does not import scipy.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -37,7 +38,7 @@ import numpy as np
 
 from .analytic import bs_price
 from .errors import InvalidParams
-from .params import MgParams, OptionSpec, check_counts, check_kind
+from .params import MgParams, OptionSpec, check_counts
 
 DAYS_PER_YEAR = 365.0
 #: paths per bs_price call when pricing from the conditional engine
@@ -95,32 +96,23 @@ class McPrice:
 
 @dataclass(frozen=True)
 class TimeSeriesSpec:
-    """Layout of the simulated weekly option panel.  mc.seed is never read:
+    """Layout of the simulated weekly option panel: n_obs weekly observations
+    on each of n_sample_paths sample paths, each priced on the constant
+    maturities (days) x moneyness (K/S) grid.  mc.seed is never read:
     generate_time_series keys its streams by its own seed argument."""
 
     spot0: ClassVar[float] = 100.0
     obs_step_days: ClassVar[float] = 7.0
     v0_init: ClassVar[float] = 0.0823
+    maturities: ClassVar[tuple] = (7, 30, 60, 90, 120, 180)
+    moneyness: ClassVar[tuple] = MONEYNESS
     n_sample_paths: int = 10
     n_obs: int = 12
-    maturities: tuple = (7, 30, 60, 90, 120, 180)
-    moneyness: tuple = MONEYNESS
     mc: McConfig = field(
         default_factory=lambda: McConfig(n_paths=10_000, steps_per_day=20)
     )
 
     def __post_init__(self):
-        # maturity_step_count would price a maturity of 0 days or fewer as one step
-        if not self.maturities or not all(0 < m < math.inf for m in self.maturities):
-            raise InvalidParams(
-                f"maturities must be non-empty, finite and > 0, got {self.maturities}"
-            )
-        if list(self.maturities) != sorted(self.maturities):
-            raise InvalidParams("maturities must be sorted ascending")
-        if not self.moneyness or not all(0 < m < math.inf for m in self.moneyness):
-            raise InvalidParams(
-                f"moneyness must be non-empty, finite and > 0, got {self.moneyness}"
-            )
         check_counts(self, "n_sample_paths", "n_obs")
         if self.n_sample_paths < 1 or self.n_obs < 1:
             raise InvalidParams("n_sample_paths and n_obs must be >= 1")
@@ -176,29 +168,14 @@ def _stratified_normals(rng, n_strata, out):
     return ndtri(out, out=out)
 
 
-def _first_step_shocks(rng, cfg: McConfig, rho: float):
-    """Stratified first-step shocks for the independent draws.
-
-    Stratification is equiprobable on the asset-shock uniform; the variance
-    shock is built to carry correlation rho against it.
-    """
-    n = cfg.n_base
-    z_s = _stratified_normals(rng, cfg.n_strata, np.empty(n))
-    z_v = rho * z_s + math.sqrt(1.0 - rho**2) * rng.standard_normal(n)
-    return z_s, z_v
-
-
-def _step_shocks(rng, rho, out):
-    """Correlated normals for one step, drawn in place into out = (z_s, z_v,
-    scratch), three buffers of one width: z_v is drawn first, then the
-    asset's own normal."""
-    z_s, z_v, own = out
-    rng.standard_normal(out=z_v)
+def _correlate(rng, rho, lead, other, own):
+    """Draw own, then set other = rho lead + sqrt(1 - rho^2) own in place, so
+    other carries correlation rho against lead, which the caller has drawn.
+    own is scratch shaped like lead."""
     rng.standard_normal(out=own)
-    np.multiply(rho, z_v, out=z_s)
+    np.multiply(rho, lead, out=other)
     np.multiply(math.sqrt(1.0 - rho**2), own, out=own)
-    np.add(z_s, own, out=z_s)
-    return z_s, z_v
+    np.add(other, own, out=other)
 
 
 def simulate_terminal(
@@ -358,8 +335,9 @@ def simulate_euler(
 
     Every buffer is allocated once per call, and each step draws into it
     and advances the state in place (step_euler with work buffers).  The
-    draws come in the same order from the same stream as with freshly
-    allocated arrays, so the output is bit-identical to that form.
+    first step stratifies the asset's shock and correlates the variance's
+    to it; later steps draw the variance's shock first and correlate the
+    asset's to it.
     """
     rng = _philox(cfg.seed)
     maturity_steps = list(maturity_steps)
@@ -369,8 +347,7 @@ def simulate_euler(
     s = np.full(m, float(spot))
     v = np.full(m, float(variance))
     work = (np.empty(m), np.empty(m), np.empty(m))
-    z_s, z_v = np.empty(m), np.empty(m)
-    drawn = (z_s[:n], z_v[:n], np.empty(n))  # the independent half, and scratch
+    z_s, z_v, own = np.empty(m), np.empty(m), np.empty(n)
     snapshots = np.empty((len(maturity_steps), m))
     snap_at = {}  # step count -> every row that asks for it
     for i, step in enumerate(maturity_steps):
@@ -380,9 +357,9 @@ def simulate_euler(
 
     for k in range(1, n_steps + 1):
         if k == 1:
-            z_s[:n], z_v[:n] = _first_step_shocks(rng, cfg, mg.rho)
+            _correlate(rng, mg.rho, _stratified_normals(rng, cfg.n_strata, z_s[:n]), z_v[:n], own)
         else:
-            _step_shocks(rng, mg.rho, drawn)
+            _correlate(rng, mg.rho, rng.standard_normal(out=z_v[:n]), z_s[:n], own)
         np.negative(z_s[:n], out=z_s[n:])
         np.negative(z_v[:n], out=z_v[n:])
         step_euler(s, v, dt, z_s, z_v, mg, work)
@@ -439,10 +416,9 @@ def price_surface_mc(
     strikes,
     mg: MgParams,
     cfg: McConfig,
-    kind: str = "call",
     paths=None,
 ):
-    """Price a maturity x strike grid of options from one shared path set.
+    """Price a maturity x strike grid of calls from one shared path set.
 
     Returns a dict {(maturity_days, strike): McPrice}.  Sharing paths across
     the surface is what makes desk-scale path counts affordable; estimates
@@ -453,12 +429,9 @@ def price_surface_mc(
     with paths=None are spot and variance read: simulate_surface then makes
     the paths here on cfg.seed's stream.  Pricing overwrites the variances
     with their square roots.  A path's payoff is its undiscounted Black
-    price at (F, W), a put by parity on that path (call - F + K).  bs_price
-    runs on PRICE_CHUNK paths at a time, so its temporaries stay small
-    whatever the path count.  Raises InvalidParams unless kind is "call" or
-    "put", before any path is simulated.
+    call price at (F, W).  bs_price runs on PRICE_CHUNK paths at a time, so
+    its temporaries stay small whatever the path count.
     """
-    check_kind(kind)
     maturities_days = list(maturities_days)
     strikes = list(strikes)
     if paths is None:
@@ -472,7 +445,7 @@ def price_surface_mc(
         for k in strikes:
             for c in range(0, payoff.size, PRICE_CHUNK):
                 part = slice(c, c + PRICE_CHUNK)
-                payoff[part] = bs_price(forwards[i, part], k, 1.0, 0.0, vol[part], kind)
+                payoff[part] = bs_price(forwards[i, part], k, 1.0, 0.0, vol[part])
             out[(m_days, k)] = _estimate(payoff, cfg, discount)
     return out
 
@@ -507,8 +480,11 @@ def generate_time_series(spec: TimeSeriesSpec, mg: MgParams, seed: int = 0, path
 
     paths lists the sample path ids to simulate (default: all of them).  A
     path's streams are keyed by (seed, path id) alone, so its rows are the
-    same whichever other paths are simulated with it.
+    same whichever other paths are simulated with it.  seed is an integer,
+    as McConfig's.
     """
+    if not isinstance(seed, numbers.Integral):
+        raise InvalidParams(f"seed must be an integer, got {seed!r}")
     paths = range(spec.n_sample_paths) if paths is None else list(paths)
     if not all(0 <= p < spec.n_sample_paths for p in paths):
         raise InvalidParams(f"path ids must be in [0, {spec.n_sample_paths}), got {paths}")
@@ -516,13 +492,13 @@ def generate_time_series(spec: TimeSeriesSpec, mg: MgParams, seed: int = 0, path
     dt_obs = spec.obs_step_days / DAYS_PER_YEAR
     surface_bytes = 2 * len(spec.maturities) * spec.mc.n_paths * 8
     per_call = max(1, SURFACE_BYTES // surface_bytes)
-    shocks, work = np.empty((3, 1)), np.empty((3, 1))
+    (z_s, z_v, own), work = np.empty((3, 1)), np.empty((3, 1))
     for path_id in paths:
         path_rng = _philox(seed, path_id)
         s, v = np.array([spec.spot0]), np.array([spec.v0_init])
         spots, v_plus = [spec.spot0], [max(spec.v0_init, 0.0)]
         for _ in range(spec.n_obs - 1):  # the weekly state, one Euler step a week
-            z_s, z_v = _step_shocks(path_rng, mg.rho, shocks)
+            _correlate(path_rng, mg.rho, path_rng.standard_normal(out=z_v), z_s, own)
             step_euler(s, v, dt_obs, z_s, z_v, mg, work)
             spots.append(float(s[0]))
             v_plus.append(max(float(v[0]), 0.0))
@@ -530,7 +506,7 @@ def generate_time_series(spec: TimeSeriesSpec, mg: MgParams, seed: int = 0, path
             last = min(first + per_call, spec.n_obs)
             # pricing stream distinct from the state stream: different first
             # key word, the path id in the second word's high half
-            rng = _philox(seed ^ 0x9E3779B97F4A7C15, path_id << 32)
+            rng = _philox(int(seed) ^ 0x9E3779B97F4A7C15, path_id << 32)
             forwards, variances = simulate_surface(
                 spots[first:last], v_plus[first:last], spec.maturities, mg, spec.mc, rng
             )

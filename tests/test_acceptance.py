@@ -189,10 +189,13 @@ class TestAcceptance:
             mg, McConfig(n_paths=100_000, seed=1))
         z_mart = abs(fwd.estimate - 100.0) / fwd.std_error
 
-        from mgpert.mc import _first_step_shocks, _philox
+        from mgpert.mc import _correlate, _philox, _stratified_normals
 
+        # the Euler engine's first-step shocks: stratified z_s, correlated z_v
         cfg = McConfig(n_paths=200_000, n_strata=100, seed=2)
-        z_s, z_v = _first_step_shocks(_philox(2), cfg, rho=-0.5459)
+        rng = _philox(2)
+        z_s, z_v, own = np.empty((3, cfg.n_base))
+        _correlate(rng, -0.5459, _stratified_normals(rng, cfg.n_strata, z_s), z_v, own)
         corr = float(np.corrcoef(z_s, z_v)[0, 1])
         corr_err = abs(corr - (-0.5459))
 

@@ -8,7 +8,6 @@ from mgpert import analytic
 from mgpert.analytic import (
     _black_terms,
     _bs_float,
-    _implied_vol_float,
     bs_price,
     bs_vega,
     correction_kernel,
@@ -374,10 +373,18 @@ def _bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
+def _iv_or_nan(price, opt, r):
+    """implied_vol, with NaN where it raises: implied_vol_array's NaN."""
+    try:
+        return implied_vol(price, opt, r)
+    except (OutOfBounds, NoConvergence):
+        return math.nan
+
+
 class TestScalarPaths:
-    """The float kernels _bs_float and _implied_vol_float, behind price_mg and
-    implied_vol, and bs_price and implied_vol_array on 0-d, one- and
-    three-element input give the same bits."""
+    """The float paths, _bs_float behind price_mg and implied_vol, and
+    bs_price and implied_vol_array on 0-d, one- and three-element input give
+    the same bits."""
 
     N_GROUPS = 7000  # of three contracts sharing tau, r and kind: one array call each
 
@@ -414,7 +421,9 @@ class TestScalarPaths:
                 bsf = _bs_float(s, 100.0, t, rate, kind, *_black_terms(100.0, k, t, rate))[0]
                 bs0 = bs_price(100.0, k, t, rate, s, kind)
                 bs1 = bs_price(100.0, np.array([k]), t, rate, np.array([s]), kind)
-                ivf = _implied_vol_float(p, 100.0, k, t, rate, kind)
+                # at tau = 0 implied_vol raises OutOfBounds; compare the arrays alone
+                opt = OptionSpec(spot=100.0, strike=k, tau_cal=t, kind=kind, variance=0.04)
+                ivf = _iv_or_nan(p, opt, rate) if t > 0 else iv3[j]
                 iv0 = implied_vol_array(p, 100.0, k, t, rate, kind)
                 iv1 = implied_vol_array(np.array([p]), 100.0, np.array([k]), t, rate, kind)
                 assert type(bs0) is float and bs1.shape == (1,)

@@ -27,20 +27,20 @@ TAU = 30 / 365
 
 
 def synthetic_quotes(theta, n=10, tau=TAU, variance=0.09, iv_shift=0.0):
-    """Quotes priced exactly by the perturbative model, optionally IV-shifted."""
+    """Quotes priced exactly by the perturbative model, optionally IV-shifted:
+    then each is the Black-Scholes price at the model's IV plus iv_shift."""
     kappa, xi, alpha, sigma = theta
     spot = 100.0
     strikes = np.linspace(90.0, 110.0, n)
     prices = pert_price_grid(spot, strikes, tau, variance, 0.0, kappa, xi, alpha, sigma)
-    quotes = []
-    for k, p in zip(strikes, prices):
-        opt = OptionSpec(spot=spot, strike=float(k), tau_cal=tau, variance=variance)
-        if iv_shift:
-            iv = float(implied_vol_array(p, spot, k, tau, 0.0)) + iv_shift
-            quotes.append(Quote(opt=opt, iv=iv))
-        else:
-            quotes.append(Quote(opt=opt, price=float(p)))
-    return QuoteSet(quotes=quotes, r=0.0)
+    if iv_shift:
+        iv = implied_vol_array(prices, spot, strikes, tau, 0.0) + iv_shift
+        prices = bs_price(spot, strikes, tau, 0.0, iv)
+    return QuoteSet(quotes=[
+        Quote(opt=OptionSpec(spot=spot, strike=float(k), tau_cal=tau, variance=variance),
+              price=float(p))
+        for k, p in zip(strikes, prices)
+    ], r=0.0)
 
 
 def panel_quotes(seed):
@@ -76,10 +76,20 @@ class TestQuoteSet:
         with pytest.raises(EmptyQuoteSet):
             QuoteSet(quotes=[], r=0.0)
 
-    def test_quote_needs_price_or_iv(self):
+    def test_quote_needs_a_price(self):
+        # a quote is a price; an implied vol is not an argument
         opt = OptionSpec(spot=100.0, strike=100.0, tau_cal=TAU, variance=0.09)
-        with pytest.raises(InvalidParams):
+        with pytest.raises(TypeError):
             Quote(opt=opt)
+        with pytest.raises(TypeError):
+            Quote(opt=opt, price=3.0, iv=0.3)
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rate_rejected(self, r):
+        # it dropped every quote, and calibrate then named the empty set
+        opt = OptionSpec(spot=100.0, strike=100.0, tau_cal=TAU, variance=0.09)
+        with pytest.raises(InvalidParams, match="r must be finite"):
+            QuoteSet(quotes=[Quote(opt=opt, price=3.0)], r=r)
 
     def test_uninvertible_quotes_dropped(self):
         opt = OptionSpec(spot=100.0, strike=100.0, tau_cal=TAU, variance=0.09)
@@ -95,7 +105,7 @@ class TestQuoteSet:
         assert qs.n_dropped == 1
 
     def test_batched_inversion_matches_per_quote(self):
-        # two maturities, calls and a put, an IV quote and an uninvertible price
+        # two maturities, calls and a put, and an uninvertible price
         quotes = []
         for tau in (TAU, 0.25):
             for k in (90.0, 100.0, 110.0):
@@ -104,14 +114,10 @@ class TestQuoteSet:
         put = OptionSpec(spot=100.0, strike=105.0, tau_cal=TAU, kind="put", variance=0.09)
         quotes.insert(2, Quote(opt=put, price=float(bs_price(100.0, 105.0, TAU, 0.01, 0.35, "put"))))
         quotes.insert(4, Quote(opt=quotes[0].opt, price=150.0))
-        quotes.insert(1, Quote(opt=quotes[0].opt, iv=0.27))
         qs = QuoteSet(quotes=quotes, r=0.01)
 
         expected = []
         for q in quotes:
-            if q.iv is not None:
-                expected.append((q, q.iv))
-                continue
             o = q.opt
             got = float(implied_vol_array(q.price, o.spot, o.strike, o.tau_cal, 0.01, o.kind))
             if math.isfinite(got):

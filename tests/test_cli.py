@@ -27,17 +27,19 @@ def test_cli_import_leaves_optimizer_unloaded():
     code = """
 import math, sys
 import mgpert.cli
+from mgpert.analytic import bs_price
 from mgpert.calibration import Quote, QuoteSet, calibrate
 from mgpert.experiments import run_timeseries_experiment
 from mgpert.mc import McConfig, TimeSeriesSpec
 from mgpert.params import OptionSpec
 quotes = QuoteSet(quotes=[
-    Quote(opt=OptionSpec(spot=100.0, strike=k, tau_cal=30 / 365, variance=0.09), iv=0.29)
+    Quote(opt=OptionSpec(spot=100.0, strike=k, tau_cal=30 / 365, variance=0.09),
+          price=bs_price(100.0, k, 30 / 365, 0.0, 0.29))
     for k in (90.0, 100.0, 110.0)
 ])
 assert math.isfinite(calibrate(quotes, (1.5, 1.5, 1.0, 0.25)).ivrmse)
 assert math.isfinite(calibrate(quotes, (1.5, 1.5, 1.0, 0.25), fix_structurals=True).ivrmse)
-spec = TimeSeriesSpec(n_sample_paths=2, n_obs=1, maturities=(30,), moneyness=(0.95, 1.0, 1.05),
+spec = TimeSeriesSpec(n_sample_paths=2, n_obs=1,
                       mc=McConfig(n_paths=1000, steps_per_day=1, n_strata=50))
 assert len(run_timeseries_experiment(1, spec=spec, n_workers=2).per_path) == 2
 print("scipy.optimize" in sys.modules)
@@ -88,7 +90,7 @@ class Pool(concurrent.futures.ProcessPoolExecutor):
         loaded.append("scipy.special" in sys.modules)
         super().__init__(*args, **kwargs)
 concurrent.futures.ProcessPoolExecutor = Pool
-spec = TimeSeriesSpec(n_sample_paths=2, n_obs=1, maturities=(30,), moneyness=(0.95, 1.0, 1.05),
+spec = TimeSeriesSpec(n_sample_paths=2, n_obs=1,
                       mc=McConfig(n_paths=1000, steps_per_day=1, n_strata=50))
 assert len(run_timeseries_experiment(1, spec=spec, n_workers=2).per_path) == 2
 print(loaded)
@@ -172,6 +174,15 @@ class TestOracleCheckCommand:
         assert lines[0].startswith("# config ")
         assert lines[1] == "x,y,tau,psi0,psi1_quad,c1_closed_form,abs_err"
         assert len(lines) == 2 + 4
+
+    def test_moneyness_is_strike_over_spot(self, tmp_path):
+        # a strike above spot: x = log S/K < 0
+        out = tmp_path / "oracle.csv"
+        p = run_cli("oracle-check", "--moneyness-min", "1.1", "--moneyness-points", "1",
+                    "--variance-points", "1", "--out", str(out))
+        assert p.returncode == 0, p.stderr
+        x = float(out.read_text().splitlines()[2].split(",")[0])
+        assert x == pytest.approx(math.log(1 / 1.1))
 
     def test_v0_independence_of_closed_form_column(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -28,7 +28,11 @@ conditional engine's, the panel's and table1's hashes were re-recorded
 ab8cc512...) when simulate_terminal's variance step took one factor per
 step shared by every variance: the same scheme with its constants folded,
 so the outputs moved by rounding only (table1's sigma_hat and ivrmse from
-their 12th significant digit on).
+their 12th significant digit on).  The panel's and table1's configs moved
+(3ed3f846... to 33a4c317..., ab8cc512... to ff9fa651...) when the panel's
+maturity x moneyness grid and the static study's volatility grid became
+constants: they now run the full grids, and the new hashes were recorded on
+the code before that change, which gives the same bytes.
 """
 
 import contextlib
@@ -108,8 +112,6 @@ def test_panel_csv_golden(tmp_path):
     spec = TimeSeriesSpec(
         n_sample_paths=2,
         n_obs=2,
-        maturities=(7, 30),
-        moneyness=(0.95, 1.0, 1.05),
         mc=McConfig(n_paths=400, steps_per_day=4, n_strata=20),
     )
     rows = generate_time_series(spec, MgParams(kappa=1.1768, theta=0.0823, xi=0.3,
@@ -117,18 +119,17 @@ def test_panel_csv_golden(tmp_path):
     path = tmp_path / "panel.csv"
     write_panel_csv(rows, path)
     assert _sha(path.read_bytes()) == (
-        "3ed3f846eee2400c4c889cad0d4f63766dfb3c82f35b5e7e40f6cf0209628da6"
+        "33a4c317396f1354d3720189c665cbf3a0ee7c3f78c4515e9ded35f6c9446d34"
     )
 
 
 def test_static_table1_golden(tmp_path):
     report = run_static_experiment(
-        v_grid=(0.35, 0.18),
         mc_cfg=McConfig(n_paths=4000, steps_per_day=2, n_strata=20, seed=9),
     )
     write_static_report(report, tmp_path)
     assert _sha((tmp_path / "table1.csv").read_bytes()) == (
-        "ab8cc512c6a189654339ebe81c4d59e901cd507ee42298919e53d274c544a951"
+        "ff9fa651292b2ffa7548495ded1cfb66a0d7ecd2b24b9be556d3a761e45f1b89"
     )
 
 

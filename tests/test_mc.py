@@ -22,8 +22,8 @@ from mgpert.mc import (
     MONEYNESS,
     McConfig,
     TimeSeriesSpec,
+    _correlate,
     _estimate,
-    _first_step_shocks,
     generate_time_series,
     maturity_step_count,
     price_option_mc,
@@ -122,11 +122,19 @@ class TestEulerStep:
         assert v2[0] == pytest.approx(0.04 + 1.0 * 0.01 * 0.01)
 
 
+def first_step_shocks(rng, cfg, rho):
+    """simulate_euler's first-step shocks for the independent draws: the
+    stratified asset shock, and the variance shock correlated to it."""
+    z_s, z_v, own = np.empty((3, cfg.n_base))
+    _correlate(rng, rho, mc._stratified_normals(rng, cfg.n_strata, z_s), z_v, own)
+    return z_s, z_v
+
+
 class TestShocks:
     def test_stratified_correlation(self):
         cfg = McConfig(n_paths=200_000, n_strata=100, seed=5)
         rng = np.random.Generator(np.random.Philox(key=5))
-        z_s, z_v = _first_step_shocks(rng, cfg, rho=-0.5459)
+        z_s, z_v = first_step_shocks(rng, cfg, rho=-0.5459)
         corr = float(np.corrcoef(z_s, z_v)[0, 1])
         assert corr == pytest.approx(-0.5459, abs=0.01)
         assert float(z_s.mean()) == pytest.approx(0.0, abs=0.01)
@@ -136,7 +144,7 @@ class TestShocks:
         # each stratum of the asset-shock uniform gets the same draw count
         cfg = McConfig(n_paths=10_000, n_strata=50, seed=1)
         rng = np.random.Generator(np.random.Philox(key=1))
-        z_s, _ = _first_step_shocks(rng, cfg, rho=0.0)
+        z_s, _ = first_step_shocks(rng, cfg, rho=0.0)
         from scipy.special import ndtr
 
         u = ndtr(z_s)
@@ -242,15 +250,14 @@ class TestSurface:
                             McConfig(n_paths=20_000, steps_per_day=2, seed=2))
         assert worst_z(cond, ref) <= 3.0
 
-    @pytest.mark.parametrize("kind", ["call", "put"])
-    def test_flat_limit_is_black_scholes(self, kind):
+    def test_flat_limit_is_black_scholes(self):
         # with rho = 0 the forward is exact and the variance is constant, so
         # every path's Black price is the Black-Scholes price at sqrt(theta)
         strikes = [90.0, 100.0, 110.0]
         surf = price_surface_mc(100.0, FLAT_MG.theta, [30.0], strikes, FLAT_MG,
-                                McConfig(n_paths=10_000, seed=1), kind)
+                                McConfig(n_paths=10_000, seed=1))
         got = [surf[(30.0, k)].estimate for k in strikes]
-        ref = bs_price(100.0, np.array(strikes), 30 / 365, 0.0, math.sqrt(FLAT_MG.theta), kind)
+        ref = bs_price(100.0, np.array(strikes), 30 / 365, 0.0, math.sqrt(FLAT_MG.theta))
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
     def test_given_paths_price_as_simulated_ones(self):
@@ -261,15 +268,6 @@ class TestSurface:
         paths = simulate_surface(100.0, 0.0823, maturities, mg, cfg)
         assert price_surface_mc(100.0, 0.0823, maturities, strikes, mg, cfg, paths=paths) == \
             price_surface_mc(100.0, 0.0823, maturities, strikes, mg, cfg)
-
-    def test_unknown_kind_raises_before_simulating(self, monkeypatch):
-        # any kind but "call" used to price puts
-        def no_simulation(*args, **kwargs):
-            raise AssertionError("simulated before checking kind")
-
-        monkeypatch.setattr(mc, "simulate_terminal", no_simulation)
-        with pytest.raises(InvalidParams, match="kind"):
-            price_surface_mc(100.0, 0.04, [30.0], [100.0], FLAT_MG, McConfig(n_paths=100), "Call")
 
     def test_repeated_step_counts_give_equal_rows(self):
         # maturities that round to one step count, the last one and 0 included
@@ -367,8 +365,6 @@ class TestSharedStream:
 
         monkeypatch.setattr(mc, "_philox", lambda *words: NoDraws())
         cfg = McConfig(n_paths=1000, steps_per_day=2, n_strata=50, seed=6)
-        report = run_static_experiment(v_grid=(), mc_cfg=cfg)
-        assert report.rows == report.curves == report.results == []
         forwards, variances = simulate_terminal(100.0, [], STATIC_MG, cfg, [0, 4], 1 / 730)
         assert forwards.shape == variances.shape == (0, 2, 1000)
 
@@ -390,15 +386,14 @@ class TestSharedStream:
 
         counted(mc, "simulate_terminal")
         counted(experiments, "price_surface_mc")
-        v_grid = (0.35, 0.25, 0.1)
         cfg = McConfig(n_paths=400, steps_per_day=2, n_strata=20, seed=6)
-        report = run_static_experiment(v_grid=v_grid, mc_cfg=cfg)
-        assert calls == {"simulate_terminal": 1, "price_surface_mc": 3}
-        assert [row.v_init for row in report.rows] == list(v_grid)
+        report = run_static_experiment(mc_cfg=cfg)
+        assert calls == {"simulate_terminal": 1, "price_surface_mc": 4}
+        assert [row.v_init for row in report.rows] == list(STATIC_VOL_GRID)
         # each scenario's surface is what its own simulation gives
         monkeypatch.undo()
         strikes = [100.0 * m for m in MONEYNESS]
-        for v, surface in zip(v_grid, surfaces):
+        for v, surface in zip(STATIC_VOL_GRID, surfaces):
             assert surface == price_surface_mc(100.0, v**2, [30.0], strikes, STATIC_MG, cfg)
 
 
@@ -526,18 +521,6 @@ class TestTimeSeries:
         assert first == "# config deadbeef"
 
     @pytest.mark.parametrize("name, value", [
-        ("maturities", (30, 7)),
-        # non-positive maturities were priced as one-step options
-        ("maturities", (-7, 30)),
-        ("maturities", (0, 30)),
-        ("maturities", ()),
-        ("maturities", (math.nan,)),
-        ("maturities", (30, math.inf)),
-        ("moneyness", (0.9, -1.0)),
-        ("moneyness", (0.9, math.nan)),
-        ("moneyness", (0.9, math.inf)),
-        # an empty grid gave a panel of 0 rows
-        ("moneyness", ()),
         # non-integer counts failed later inside numpy
         ("n_obs", 1.5),
         ("n_sample_paths", 2.0),
@@ -546,21 +529,39 @@ class TestTimeSeries:
         with pytest.raises(InvalidParams):
             TimeSeriesSpec(**{name: value})
 
-    @pytest.mark.parametrize("name", ["spot0", "obs_step_days", "v0_init"])
+    @pytest.mark.parametrize("name", ["spot0", "obs_step_days", "v0_init",
+                                      "maturities", "moneyness"])
     def test_start_state_is_not_an_argument(self, name):
-        # the panel's start and observation step are constants, not arguments
+        # the panel's start, observation step and grid are constants, not arguments
         with pytest.raises(TypeError):
             TimeSeriesSpec(**{name: 1.0})
 
     def test_start_state_constants(self):
         spec = TimeSeriesSpec()
         assert (spec.spot0, spec.obs_step_days, spec.v0_init) == (100.0, 7.0, 0.0823)
-        assert not {"spot0", "obs_step_days", "v0_init"} & {f.name for f in fields(spec)}
+        assert (spec.maturities, spec.moneyness) == ((7, 30, 60, 90, 120, 180), MONEYNESS)
+        constants = {"spot0", "obs_step_days", "v0_init", "maturities", "moneyness"}
+        assert not constants & {f.name for f in fields(spec)}
+
+    def test_numpy_integer_seed_gives_its_rows(self):
+        # the pricing key's XOR overflowed on a numpy integer
+        spec = TimeSeriesSpec(n_sample_paths=1, n_obs=2,
+                              mc=McConfig(n_paths=200, steps_per_day=1, n_strata=10))
+        assert generate_time_series(spec, self.MG, seed=np.int64(5)) == generate_time_series(
+            spec, self.MG, seed=5)
+
+    @pytest.mark.parametrize("seed", [1.5, 5.0, "5"])
+    def test_non_integer_seed_rejected(self, seed, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before checking the seed")
+
+        monkeypatch.setattr(mc, "step_euler", no_simulation)
+        with pytest.raises(InvalidParams, match="seed"):
+            generate_time_series(self.SPEC, self.MG, seed=seed)
 
     def test_panel_ignores_mc_seed(self):
         # the streams are keyed by generate_time_series's seed argument
-        spec = TimeSeriesSpec(n_sample_paths=1, n_obs=2, maturities=(30,),
-                              moneyness=(0.95, 1.05),
+        spec = TimeSeriesSpec(n_sample_paths=1, n_obs=2,
                               mc=McConfig(n_paths=200, steps_per_day=1, n_strata=10, seed=9))
         assert generate_time_series(spec, self.MG, seed=3) == generate_time_series(
             replace(spec, mc=replace(spec.mc, seed=0)), self.MG, seed=3)
@@ -573,8 +574,7 @@ class TestTimeSeries:
             generate_time_series(self.SPEC, self.MG, seed=3, paths=[2])
 
     def test_experiment_fits_the_generated_panel(self):
-        spec = TimeSeriesSpec(n_sample_paths=2, n_obs=2, maturities=(30, 60),
-                              moneyness=(0.95, 1.0, 1.05),
+        spec = TimeSeriesSpec(n_sample_paths=2, n_obs=2,
                               mc=McConfig(n_paths=1000, steps_per_day=2, n_strata=50))
         mg = DATASETS[1]
         report = run_timeseries_experiment(1, spec=spec, seed=4)
@@ -674,7 +674,7 @@ class TestTimeSeries:
         # at the paper's width a worker holds the budget's surfaces plus less
         # than one more: the state, draws, scratch and payoffs; holding the
         # last group while simulating the next would take two budgets
-        spec = TimeSeriesSpec(n_sample_paths=1, n_obs=3, moneyness=(1.0,),
+        spec = TimeSeriesSpec(n_sample_paths=1, n_obs=3,
                               mc=McConfig(n_paths=50_000, steps_per_day=1))
         surface_bytes = 2 * len(spec.maturities) * spec.mc.n_paths * 8
         budget = 2 * surface_bytes

@@ -1,8 +1,12 @@
+import dataclasses
 import pathlib
 import re
 import types
 
 import mgpert
+from mgpert.calibration import Quote
+from mgpert.heatkernel import QuadratureConfig
+from mgpert.mc import McConfig, TimeSeriesSpec
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -48,3 +52,26 @@ def test_unused_export_is_found():
     assert unused_exports([*mgpert.__all__, "perturb_correction"], sources) == [
         "perturb_correction"
     ]
+
+
+def unset_fields(classes, sources):
+    """Each class's dataclass fields that no source passes as a keyword `name=`."""
+    return [
+        f"{cls.__name__}.{f.name}" for cls in classes for f in dataclasses.fields(cls)
+        if not any(re.search(rf"\b{f.name}=(?!=)", text) for text in sources)
+    ]
+
+
+SETTINGS = (McConfig, TimeSeriesSpec, QuadratureConfig, Quote)
+
+
+def test_every_setting_is_set_by_the_program():
+    # a field that only tests set is a constant
+    assert unset_fields(SETTINGS, program_sources()) == []
+
+
+def test_unset_setting_is_found():
+    # the panel's maturity grid as a field again
+    regrown = dataclasses.make_dataclass("TimeSeriesSpec", [("maturities", tuple)],
+                                         bases=(TimeSeriesSpec,), frozen=True)
+    assert unset_fields([*SETTINGS, regrown], program_sources()) == ["TimeSeriesSpec.maturities"]
