@@ -15,7 +15,11 @@ first step's leading shock.
   step's normals once (common random numbers), and each gets the bits a
   call of its own would give.  The static experiment simulates all its
   scenarios in one call; the time series simulates all the observations of
-  a sample path in one call, SURFACE_BYTES of paths at a time.
+  a sample path in one call, SURFACE_BYTES of paths at a time.  On more
+  than STEP_CHUNK base paths, the caller draws step k + 1's normals while
+  one helper thread runs step k, and price_surface_mc splits its chunks
+  between the two threads (_overlap).  The draws keep their order and each
+  element its arithmetic, so the bits do not depend on the threads.
 - simulate_euler, the Euler reference, simulates (S, V) jointly.
   price_option_mc and `mgpert mc-price` use it, and the tests check the
   conditional engine against it.
@@ -31,6 +35,8 @@ from __future__ import annotations
 
 import math
 import numbers
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -178,6 +184,35 @@ def _correlate(rng, rho, lead, other, own):
     np.add(other, own, out=other)
 
 
+@contextmanager
+def _overlap(cfg: McConfig):
+    """Yield together(job, other), which runs both and returns once both are
+    done.  Above STEP_CHUNK base paths, job runs on one helper thread while
+    the caller runs other; at or below it, the caller runs job and then other.
+
+    The gate is on width: one chunk's work is too short to hide a handoff.
+    The helper's pool lives for the with block only, so no thread outlives
+    the call; a pool kept between calls hangs in processes forked after its
+    thread has run.
+    """
+    if cfg.n_base <= STEP_CHUNK:
+        def together(job, other):
+            job()
+            other()
+
+        yield together
+        return
+    with ThreadPoolExecutor(1) as helper:
+        def together(job, other):
+            pending = helper.submit(job)
+            try:
+                other()
+            finally:
+                pending.result()
+
+        yield together
+
+
 def simulate_terminal(
     spot,
     variance,
@@ -219,10 +254,20 @@ def simulate_terminal(
     so both halves add sqrt(V+) z and its snapshot scales J by -rho sqrt(dt).
     IEEE negation is exact, so the half gets the bits a draw of -z gives.
     The sums are kept as sum V+ and sum sqrt(V+) z and scaled by dt and
-    sqrt(dt) at the snapshots.  Memory: per variance the state V and the
-    sums, which live in the output rows of the last step; shared by all
-    variances, the draws and three scratch arrays (V+, a product and f) of
-    STEP_CHUNK base paths, as the step runs chunk by chunk.
+    sqrt(dt) at the snapshots.
+
+    On more than STEP_CHUNK base paths one helper thread runs step k, its
+    snapshots included, while the caller draws step k + 1's normals
+    (_overlap); numpy's ufuncs and the generator release the GIL, so the
+    draws cost no wall time.  On one chunk the caller does both in turn:
+    there a handoff per step would cost more than the draw it hides.
+
+    Memory: per variance the state V and the sums, which live in the output
+    rows of the last step; shared by all variances, two half-path draw
+    buffers (step k's normals are row k % 2, so the next step's can be drawn
+    while step k reads its own) and three scratch arrays (V+, a product and
+    f) of STEP_CHUNK base paths, as the step runs chunk by chunk.  Only one
+    thread steps at a time, so the scratch is not doubled.
     """
     if rng is None:
         rng = _philox(cfg.seed)
@@ -258,7 +303,7 @@ def simulate_terminal(
     sum_root, sum_v = forwards[:, last], variances[:, last]
     sum_root.fill(0.0)
     sum_v.fill(0.0)
-    z = np.empty(n)
+    draws = np.empty((2, n))  # step k's normals are row k % 2
     width = min(n, STEP_CHUNK)
     v_plus, a, factor = np.empty((3, 2, width))
     mean_rev, pull, vol_dt = mg.kappa * dt, mg.kappa * mg.theta * dt, mg.xi * math.sqrt(dt)
@@ -272,7 +317,7 @@ def simulate_terminal(
         part = slice(c, c + width)
         vp, sc, fac = (buf[:, : min(width, n - c)] for buf in (v_plus, a, factor))
         views = list(zip(v[..., part], sum_v[..., part], sum_root[..., part]))
-        step_views.append((z[part], vp, sc, fac, views))
+        step_views.append((draws[:, part], vp, sc, fac, views))
         snap_views += [(s_v, s_root, sc, fw, var, spot_j) for (_, s_v, s_root), fw, var, spot_j
                        in zip(views, forwards[..., part], variances[..., part], spots)]
 
@@ -289,14 +334,17 @@ def simulate_terminal(
                 np.multiply(f, growth, out=f)
                 np.multiply(s_v, (1.0 - rho**2) * dt, out=w)
 
-    if 0 in snap_at:
-        snapshot(0)
-    for k in range(1, n_steps + 1):
+    def draw(k):
+        """Step k's normals into draws[k % 2]; none past the last step."""
         if k == 1:
-            _stratified_normals(rng, cfg.n_strata, z)
-        else:
-            rng.standard_normal(out=z)
-        for zc, vp, sc, fac, views in step_views:
+            _stratified_normals(rng, cfg.n_strata, draws[1])
+        elif k <= n_steps:
+            rng.standard_normal(out=draws[k % 2])
+
+    def advance(k):
+        """Step k over every chunk, on draws[k % 2], then its snapshots."""
+        for z, vp, sc, fac, views in step_views:
+            zc = z[k % 2]
             np.multiply(zc, vol_dt, out=fac[0])
             np.negative(fac[0], out=fac[1])
             if mg.alpha == 1.0:
@@ -316,6 +364,13 @@ def simulate_terminal(
                 np.add(vj, pull, out=vj)
         if k in snap_at:
             snapshot(k)
+
+    if 0 in snap_at:
+        snapshot(0)
+    draw(1)
+    with _overlap(cfg) as together:
+        for k in range(1, n_steps + 1):
+            together(lambda: advance(k), lambda: draw(k + 1))
     forwards, variances = forwards.reshape(shape), variances.reshape(shape)
     return (forwards[0], variances[0]) if start.ndim == 0 else (forwards, variances)
 
@@ -430,7 +485,10 @@ def price_surface_mc(
     the paths here on cfg.seed's stream.  Pricing overwrites the variances
     with their square roots.  A path's payoff is its undiscounted Black
     call price at (F, W).  bs_price runs on PRICE_CHUNK paths at a time, so
-    its temporaries stay small whatever the path count.
+    its temporaries stay small whatever the path count.  On more than
+    STEP_CHUNK base paths one helper thread prices every other chunk while
+    the caller prices the rest (_overlap), and each estimate is taken once
+    both are done.
     """
     maturities_days = list(maturities_days)
     strikes = list(strikes)
@@ -439,14 +497,19 @@ def price_surface_mc(
     forwards, variances = paths
     out = {}
     payoff = np.empty(forwards.shape[1])
-    for i, m_days in enumerate(maturities_days):
-        discount = math.exp(-mg.r * m_days / DAYS_PER_YEAR)
-        vol = np.sqrt(variances[i], out=variances[i])
-        for k in strikes:
-            for c in range(0, payoff.size, PRICE_CHUNK):
-                part = slice(c, c + PRICE_CHUNK)
-                payoff[part] = bs_price(forwards[i, part], k, 1.0, 0.0, vol[part])
-            out[(m_days, k)] = _estimate(payoff, cfg, discount)
+    chunks = [slice(c, c + PRICE_CHUNK) for c in range(0, payoff.size, PRICE_CHUNK)]
+
+    def price(parts):
+        for part in parts:
+            payoff[part] = bs_price(forwards[i, part], k, 1.0, 0.0, vol[part])
+
+    with _overlap(cfg) as together:
+        for i, m_days in enumerate(maturities_days):
+            discount = math.exp(-mg.r * m_days / DAYS_PER_YEAR)
+            vol = np.sqrt(variances[i], out=variances[i])
+            for k in strikes:
+                together(lambda: price(chunks[1::2]), lambda: price(chunks[::2]))
+                out[(m_days, k)] = _estimate(payoff, cfg, discount)
     return out
 
 

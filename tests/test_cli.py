@@ -98,6 +98,37 @@ print(loaded)
     assert _run_python(code) == "[False, True]"
 
 
+def test_helper_thread_leaves_no_thread_for_forked_workers():
+    # the static study's helper thread is gone when it returns, and a pool
+    # forked after it has run finishes its work: the workers inherit the
+    # small chunks, so they take the helper path too, and report as one process
+    code = """
+import threading
+from mgpert import mc
+from mgpert.experiments import run_static_experiment, run_timeseries_experiment
+from mgpert.mc import McConfig, TimeSeriesSpec
+mc.STEP_CHUNK, mc.PRICE_CHUNK = 32, 64
+pools = []
+class Counted(mc.ThreadPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        pools.append(self)
+        super().__init__(*args, **kwargs)
+mc.ThreadPoolExecutor = Counted
+before = threading.active_count()
+run_static_experiment(McConfig(n_paths=400, steps_per_day=1, n_strata=20, seed=1), maturity_days=7.0)
+assert pools and threading.active_count() == before, (len(pools), threading.active_count())
+spec = TimeSeriesSpec(n_sample_paths=2, n_obs=1,
+                      mc=McConfig(n_paths=200, steps_per_day=1, n_strata=20))
+def fingerprint(report):
+    return repr((report.param_stats, report.ivrmse_mean, report.ivrmse_std,
+                 [(r.theta_pert, r.ivrmse, r.iterations, r.residuals.tobytes())
+                  for r in report.per_path]))
+pooled = fingerprint(run_timeseries_experiment(1, spec=spec, n_workers=2))
+print(pooled == fingerprint(run_timeseries_experiment(1, spec=spec, n_workers=1)))
+"""
+    assert _run_python(code) == "True"
+
+
 class TestPriceCommand:
     def test_expiry_payoff(self):
         p = run_cli("price", "--days", "0", "--spot", "110", "--strike", "100",

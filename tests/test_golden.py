@@ -32,7 +32,10 @@ their 12th significant digit on).  The panel's and table1's configs moved
 (3ed3f846... to 33a4c317..., ab8cc512... to ff9fa651...) when the panel's
 maturity x moneyness grid and the static study's volatility grid became
 constants: they now run the full grids, and the new hashes were recorded on
-the code before that change, which gives the same bytes.
+the code before that change, which gives the same bytes.  The conditional
+engine's and table1's goldens also run with chunks small enough that a
+helper thread runs the variance steps and half the pricing; they give the
+same hashes.
 """
 
 import contextlib
@@ -43,7 +46,7 @@ import math
 import numpy as np
 import pytest
 
-from mgpert import cli
+from mgpert import cli, mc
 from mgpert.analytic import IV_MIN, _price_bracket, bs_price, implied_vol, implied_vol_array, price_mg
 from mgpert.calibration import pert_price_grid
 from mgpert.errors import NoConvergence, OutOfBounds
@@ -88,6 +91,15 @@ SIMULATE_CASES = {
 }
 
 
+@pytest.fixture(params=["one-chunk", "multi-chunk"])
+def chunks(request, monkeypatch):
+    """The default chunk sizes, at which a golden's paths are one chunk and
+    run on one thread, or chunks small enough to take the helper thread."""
+    if request.param == "multi-chunk":
+        monkeypatch.setattr(mc, "STEP_CHUNK", 32)
+        monkeypatch.setattr(mc, "PRICE_CHUNK", 64)
+
+
 @pytest.mark.parametrize("name", sorted(SIMULATE_CASES))
 def test_simulate_euler_golden(name):
     mg, cfg, digest = SIMULATE_CASES[name]
@@ -96,6 +108,7 @@ def test_simulate_euler_golden(name):
     assert _sha(snaps.tobytes()) == digest
 
 
+@pytest.mark.usefixtures("chunks")
 def test_simulate_terminal_golden():
     # the static shape with a rate, so every factor of the forward is live
     mg = MgParams(kappa=1.5, theta=0.08, xi=1.5, rho=-0.5, alpha=1.0, r=0.02)
@@ -123,6 +136,7 @@ def test_panel_csv_golden(tmp_path):
     )
 
 
+@pytest.mark.usefixtures("chunks")
 def test_static_table1_golden(tmp_path):
     report = run_static_experiment(
         mc_cfg=McConfig(n_paths=4000, steps_per_day=2, n_strata=20, seed=9),

@@ -1,5 +1,7 @@
 import math
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 
 import numpy as np
@@ -344,9 +346,9 @@ class TestSharedStream:
     @pytest.mark.parametrize("n_var", [1, 4])
     def test_memory(self, n_var):
         # per variance the state and the two sums (the output rows), plus
-        # the draws (half a path vector) and chunk-sized scratch: three
-        # (2, STEP_CHUNK) arrays, 384 KiB of the 0.5 MiB; at 10^5 paths an
-        # extra path vector per variance would not fit
+        # two draw buffers (half a path vector each) and chunk-sized
+        # scratch: three (2, STEP_CHUNK) arrays, 384 KiB of the 0.5 MiB; at
+        # 10^5 paths an extra path vector per variance would not fit
         cfg = McConfig(n_paths=100_000, n_strata=50, seed=2)
         starts = 0.09 if n_var == 1 else [0.09] * n_var
         simulate_terminal(100.0, starts, STATIC_MG, cfg, [2], 1 / 3650)  # warm-up
@@ -395,6 +397,69 @@ class TestSharedStream:
         strikes = [100.0 * m for m in MONEYNESS]
         for v, surface in zip(STATIC_VOL_GRID, surfaces):
             assert surface == price_surface_mc(100.0, v**2, [30.0], strikes, STATIC_MG, cfg)
+
+
+class TestHelperThread:
+    """The helper thread that steps and prices beside the caller on more than
+    one STEP_CHUNK of base paths."""
+
+    @pytest.mark.parametrize("n_base, pools", [(32, 0), (34, 2)])
+    def test_only_above_one_chunk(self, n_base, pools, monkeypatch):
+        monkeypatch.setattr(mc, "STEP_CHUNK", 32)
+        monkeypatch.setattr(mc, "PRICE_CHUNK", 16)
+        made = []
+
+        class Counted(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", Counted)
+        before = threading.active_count()
+        price_surface_mc(100.0, 0.09, [3.0], [95.0, 105.0], STATIC_MG,
+                         McConfig(n_paths=2 * n_base, n_strata=2))
+        # one pool for the simulation and one for the pricing, both shut down
+        assert len(made) == pools
+        assert threading.active_count() == before
+
+    def test_helper_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(mc, "STEP_CHUNK", 32)
+        monkeypatch.setattr(mc, "PRICE_CHUNK", 64)
+        caller = threading.get_ident()
+
+        def failing(*args):
+            if threading.get_ident() != caller:
+                raise InvalidParams("helper failed")
+            return bs_price(*args)
+
+        monkeypatch.setattr(mc, "bs_price", failing)
+        before = threading.active_count()
+        with pytest.raises(InvalidParams, match="helper failed"):
+            price_surface_mc(100.0, 0.09, [3.0], [100.0], STATIC_MG,
+                             McConfig(n_paths=200, n_strata=2))
+        assert threading.active_count() == before
+
+    def test_caller_error_waits_for_the_helper(self, monkeypatch):
+        monkeypatch.setattr(mc, "STEP_CHUNK", 32)
+
+        class FailsOnStep3:
+            def __init__(self, rng):
+                self.rng, self.normals = rng, 0
+
+            def random(self, out):
+                return self.rng.random(out=out)
+
+            def standard_normal(self, out):
+                self.normals += 1
+                if self.normals == 2:  # step 3's draw, while step 2 runs
+                    raise InvalidParams("caller failed")
+                return self.rng.standard_normal(out=out)
+
+        before = threading.active_count()
+        with pytest.raises(InvalidParams, match="caller failed"):
+            simulate_terminal(100.0, 0.09, STATIC_MG, McConfig(n_paths=200, n_strata=2), [5],
+                              1 / 3650, FailsOnStep3(mc._philox(1)))
+        assert threading.active_count() == before
 
 
 def plain_conditional(spot, variance, mg, cfg, steps, dt):
