@@ -334,7 +334,7 @@ def build_parser():
     p = leaf(sub, "mc-price", cmd_mc_price, "Monte Carlo price of one contract",
              [model, contract, sampling])
     p.add_argument("--paths", type=int, default=100_000, help="Monte Carlo paths [count]")
-    p.add_argument("--steps-per-day", type=int, default=10, help="Euler steps per day [count]")
+    p.add_argument("--steps-per-day", type=int, default=10, help="variance steps per day [count]")
 
     p = leaf(sub, "oracle-check", cmd_oracle_check,
              "quadrature vs closed-form correction on a scenario grid", [model, pert, maturity])

@@ -1,28 +1,27 @@
-"""Monte Carlo engines for the full two-factor model.
+"""Monte Carlo engine for the full two-factor model.
 
-Both engines discretise the variance with the same scheme, Euler with
-full truncation (V replaced by max(V, 0) wherever it is consumed), grouped
-differently, so their paths agree up to rounding.  They sample one way,
-with no switch: antithetic pairs, and equiprobable stratification of the
-first step's leading shock.
+simulate_terminal, the conditional engine, simulates the variance only,
+with Euler and full truncation (V replaced by max(V, 0) wherever it is
+consumed).  Given one variance path, log S_T is Gaussian, so a path
+contributes the Black price at its conditional forward and total variance
+(the mixing estimator), exact in S.  It samples one way, with no switch:
+antithetic pairs, and equiprobable stratification of the first step's
+shock.  price_option_mc prices one contract with it, and both experiments
+simulate with it through simulate_surface and price the paths they get
+with price_surface_mc.  It advances one initial (spot, variance) or several
+on one draw stream, drawing each step's normals once (common random
+numbers), and each gets the bits a call of its own would give.  The static
+experiment simulates all its scenarios in one call; the time series
+simulates all the observations of a sample path in one call, SURFACE_BYTES
+of paths at a time.  On more than STEP_CHUNK base paths, the caller draws
+step k + 1's normals while one helper thread runs step k, and
+price_surface_mc splits its chunks between the two threads (_overlap).  The
+draws keep their order and each element its arithmetic, so the bits do not
+depend on the threads.
 
-- simulate_terminal, the conditional engine, simulates the variance only.
-  Given one variance path, log S_T is Gaussian, so a path contributes the
-  Black price at its conditional forward and total variance (the mixing
-  estimator).  Both experiments simulate with it through simulate_surface
-  and price the paths they get with price_surface_mc.  It advances one
-  initial (spot, variance) or several on one draw stream, drawing each
-  step's normals once (common random numbers), and each gets the bits a
-  call of its own would give.  The static experiment simulates all its
-  scenarios in one call; the time series simulates all the observations of
-  a sample path in one call, SURFACE_BYTES of paths at a time.  On more
-  than STEP_CHUNK base paths, the caller draws step k + 1's normals while
-  one helper thread runs step k, and price_surface_mc splits its chunks
-  between the two threads (_overlap).  The draws keep their order and each
-  element its arithmetic, so the bits do not depend on the threads.
-- simulate_euler, the Euler reference, simulates (S, V) jointly.
-  price_option_mc and `mgpert mc-price` use it, and the tests check the
-  conditional engine against it.
+step_euler, the joint (S, V) Euler step, advances only the time series'
+weekly state.  The tests keep a joint (S, V) Euler engine as the
+independent reference the conditional engine is checked against.
 
 All draws come from a counter-based Philox generator so a fixed (seed,
 config) pair reproduces bit-identical results regardless of how callers
@@ -375,54 +374,6 @@ def simulate_terminal(
     return (forwards[0], variances[0]) if start.ndim == 0 else (forwards, variances)
 
 
-def simulate_euler(
-    spot: float,
-    variance: float,
-    mg: MgParams,
-    cfg: McConfig,
-    maturity_steps,
-    dt: float,
-):
-    """Simulate all paths, snapshotting S at each requested step count.
-
-    Returns an array of shape (len(maturity_steps), n_paths).  Antithetic
-    partners occupy the second half of the path axis.
-
-    Every buffer is allocated once per call, and each step draws into it
-    and advances the state in place (step_euler with work buffers).  The
-    first step stratifies the asset's shock and correlates the variance's
-    to it; later steps draw the variance's shock first and correlate the
-    asset's to it.
-    """
-    rng = _philox(cfg.seed)
-    maturity_steps = list(maturity_steps)
-    n_steps = max(maturity_steps)
-    n, m = cfg.n_base, cfg.n_paths
-
-    s = np.full(m, float(spot))
-    v = np.full(m, float(variance))
-    work = (np.empty(m), np.empty(m), np.empty(m))
-    z_s, z_v, own = np.empty(m), np.empty(m), np.empty(n)
-    snapshots = np.empty((len(maturity_steps), m))
-    snap_at = {}  # step count -> every row that asks for it
-    for i, step in enumerate(maturity_steps):
-        snap_at.setdefault(step, []).append(i)
-    if 0 in snap_at:
-        snapshots[snap_at[0]] = s
-
-    for k in range(1, n_steps + 1):
-        if k == 1:
-            _correlate(rng, mg.rho, _stratified_normals(rng, cfg.n_strata, z_s[:n]), z_v[:n], own)
-        else:
-            _correlate(rng, mg.rho, rng.standard_normal(out=z_v[:n]), z_s[:n], own)
-        np.negative(z_s[:n], out=z_s[n:])
-        np.negative(z_v[:n], out=z_v[n:])
-        step_euler(s, v, dt, z_s, z_v, mg, work)
-        if k in snap_at:
-            snapshots[snap_at[k]] = s
-    return snapshots
-
-
 def _estimate(payoffs: np.ndarray, cfg: McConfig, discount: float) -> McPrice:
     """Discounted mean of the pair means; stratified SE unless strata hold one pair each."""
     n = cfg.n_base
@@ -442,16 +393,16 @@ def maturity_step_count(tau_cal: float, steps_per_day: int) -> int:
 
 
 def price_option_mc(opt: OptionSpec, mg: MgParams, cfg: McConfig) -> McPrice:
-    """Discounted-payoff Monte Carlo estimate with standard error."""
+    """Discounted Monte Carlo estimate with standard error, on the conditional
+    engine: each path's payoff is its Black price, call or put, at its
+    conditional forward and total variance (simulate_terminal at
+    dt = tau_cal / steps)."""
     if opt.tau_cal <= 0:
         raise InvalidParams("price_option_mc requires tau_cal > 0")
     n_steps = maturity_step_count(opt.tau_cal, cfg.steps_per_day)
-    dt = opt.tau_cal / n_steps
-    s_t = simulate_euler(opt.spot, opt.variance, mg, cfg, [n_steps], dt)[0]
-    if opt.is_call:
-        payoff = np.maximum(s_t - opt.strike, 0.0)
-    else:
-        payoff = np.maximum(opt.strike - s_t, 0.0)
+    forwards, variances = simulate_terminal(opt.spot, opt.variance, mg, cfg, [n_steps],
+                                            opt.tau_cal / n_steps)
+    payoff = bs_price(forwards[0], opt.strike, 1.0, 0.0, np.sqrt(variances[0]), opt.kind)
     return _estimate(payoff, cfg, math.exp(-mg.r * opt.tau_cal))
 
 

@@ -2,8 +2,10 @@
 
 None of these is on a program path: psi1_closed_form, reconstruct_psi0 and
 heat_residual check the closed form and psi0 in heat coordinates,
-correction_root_variance locates C1's sign change, and write_panel_csv
-writes generate_time_series's rows for the panel golden hash.
+correction_root_variance locates C1's sign change, write_panel_csv writes
+generate_time_series's rows for the panel golden hash, and simulate_euler
+with price_option_euler is the Euler Monte Carlo reference, which
+discretises (S, V) jointly, that the conditional engine is checked against.
 """
 
 import math
@@ -15,8 +17,18 @@ from mgpert.analytic import correction_kernel
 from mgpert.errors import InvalidParams
 from mgpert.experiments import write_csv
 from mgpert.heatkernel import psi0_grid
-from mgpert.mc import PanelRow
-from mgpert.params import DerivedParams, HeatCoords, PerturbParams, tilt
+from mgpert.mc import (
+    McConfig,
+    McPrice,
+    PanelRow,
+    _correlate,
+    _estimate,
+    _philox,
+    _stratified_normals,
+    maturity_step_count,
+    step_euler,
+)
+from mgpert.params import DerivedParams, HeatCoords, MgParams, OptionSpec, PerturbParams, tilt
 
 
 def correction_root_variance(pert: PerturbParams, deriv: DerivedParams, tau_cal: float) -> float:
@@ -110,3 +122,66 @@ def write_panel_csv(rows, path, config_comment=None):
         ([r.path_id, r.obs_index, *(repr(getattr(r, c)) for c in columns[2:])] for r in rows),
         config_comment,
     )
+
+
+def simulate_euler(
+    spot: float,
+    variance: float,
+    mg: MgParams,
+    cfg: McConfig,
+    maturity_steps,
+    dt: float,
+):
+    """Simulate all paths, snapshotting S at each requested step count.
+
+    Returns an array of shape (len(maturity_steps), n_paths).  Antithetic
+    partners occupy the second half of the path axis.
+
+    Every buffer is allocated once per call, and each step draws into it
+    and advances the state in place (step_euler with work buffers).  The
+    first step stratifies the asset's shock and correlates the variance's
+    to it; later steps draw the variance's shock first and correlate the
+    asset's to it.
+    """
+    rng = _philox(cfg.seed)
+    maturity_steps = list(maturity_steps)
+    n_steps = max(maturity_steps)
+    n, m = cfg.n_base, cfg.n_paths
+
+    s = np.full(m, float(spot))
+    v = np.full(m, float(variance))
+    work = (np.empty(m), np.empty(m), np.empty(m))
+    z_s, z_v, own = np.empty(m), np.empty(m), np.empty(n)
+    snapshots = np.empty((len(maturity_steps), m))
+    snap_at = {}  # step count -> every row that asks for it
+    for i, step in enumerate(maturity_steps):
+        snap_at.setdefault(step, []).append(i)
+    if 0 in snap_at:
+        snapshots[snap_at[0]] = s
+
+    for k in range(1, n_steps + 1):
+        if k == 1:
+            _correlate(rng, mg.rho, _stratified_normals(rng, cfg.n_strata, z_s[:n]), z_v[:n], own)
+        else:
+            _correlate(rng, mg.rho, rng.standard_normal(out=z_v[:n]), z_s[:n], own)
+        np.negative(z_s[:n], out=z_s[n:])
+        np.negative(z_v[:n], out=z_v[n:])
+        step_euler(s, v, dt, z_s, z_v, mg, work)
+        if k in snap_at:
+            snapshots[snap_at[k]] = s
+    return snapshots
+
+
+def price_option_euler(opt: OptionSpec, mg: MgParams, cfg: McConfig) -> McPrice:
+    """Discounted-payoff estimate with standard error on simulate_euler's
+    paths, at dt = tau_cal / steps."""
+    if opt.tau_cal <= 0:
+        raise InvalidParams("price_option_euler requires tau_cal > 0")
+    n_steps = maturity_step_count(opt.tau_cal, cfg.steps_per_day)
+    dt = opt.tau_cal / n_steps
+    s_t = simulate_euler(opt.spot, opt.variance, mg, cfg, [n_steps], dt)[0]
+    if opt.is_call:
+        payoff = np.maximum(s_t - opt.strike, 0.0)
+    else:
+        payoff = np.maximum(opt.strike - s_t, 0.0)
+    return _estimate(payoff, cfg, math.exp(-mg.r * opt.tau_cal))

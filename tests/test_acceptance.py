@@ -17,7 +17,7 @@ from mgpert.analytic import bs_price, implied_vol_array, price_mg
 from mgpert.calibration import pert_price_grid
 from mgpert.experiments import run_static_experiment, run_timeseries_experiment
 from mgpert.heatkernel import breaking_operator_grid, psi1_quadrature
-from mgpert.mc import McConfig, TimeSeriesSpec, price_option_mc
+from mgpert.mc import McConfig, TimeSeriesSpec
 from mgpert.params import (
     HeatCoords,
     MgParams,
@@ -27,7 +27,7 @@ from mgpert.params import (
     tilt,
     to_heat_coords,
 )
-from oracles import heat_residual, psi1_closed_form
+from oracles import heat_residual, price_option_euler, psi1_closed_form
 
 STATIC_MG = MgParams(kappa=1.5, theta=0.08, xi=1.5, rho=-0.5, alpha=1.0)
 STATIC_SIGMA = 0.2865
@@ -176,22 +176,24 @@ class TestAcceptance:
         )
 
     def test_criterion_06_mc_oracle_sanity(self):
+        # the Euler reference, which discretises S: on the conditional engine
+        # the flat limit is Black-Scholes to rounding, and its SE collapses
         flat = MgParams(kappa=1e-9, theta=0.04, xi=1e-9, rho=0.0, alpha=1.0)
         opt = OptionSpec(spot=100.0, strike=100.0, tau_cal=30 / 365, variance=0.04)
-        mp = price_option_mc(opt, flat, McConfig(n_paths=100_000, seed=0))
+        mp = price_option_euler(opt, flat, McConfig(n_paths=100_000, seed=0))
         ref = float(bs_price(100.0, 100.0, 30 / 365, 0.0, 0.2, "call"))
         z_bs = abs(mp.estimate - ref) / mp.std_error
 
         mg = MgParams(kappa=1.1768, theta=0.0823, xi=0.3, rho=-0.5459, alpha=1.0,
                       r=0.03)
-        fwd = price_option_mc(
+        fwd = price_option_euler(
             OptionSpec(spot=100.0, strike=1e-6, tau_cal=60 / 365, variance=0.0823),
             mg, McConfig(n_paths=100_000, seed=1))
         z_mart = abs(fwd.estimate - 100.0) / fwd.std_error
 
         from mgpert.mc import _correlate, _philox, _stratified_normals
 
-        # the Euler engine's first-step shocks: stratified z_s, correlated z_v
+        # the Euler reference's first-step shocks: stratified z_s, correlated z_v
         cfg = McConfig(n_paths=200_000, n_strata=100, seed=2)
         rng = _philox(2)
         z_s, z_v, own = np.empty((3, cfg.n_base))

@@ -56,12 +56,11 @@ from mgpert.mc import (
     McConfig,
     TimeSeriesSpec,
     generate_time_series,
-    simulate_euler,
     simulate_terminal,
     step_euler,
 )
 from mgpert.params import MgParams, OptionSpec, PerturbParams
-from oracles import write_panel_csv
+from oracles import simulate_euler, write_panel_csv
 
 DT = 1.0 / (DAYS_PER_YEAR * 10)
 

@@ -7,8 +7,9 @@ perfbench/run.py wrote for one side (its .perfbench_out/).  For every
 workload and end-to-end metric the output gives each side's median and
 quartiles over its seeds, and over the seeds both sides ran, the pairs in
 which the change read better (lower; ties count for neither).  Runs whose
-checks failed are listed and left out of the figures.  Standard library
-only.
+checks failed are listed and left out of the figures; a workload with no
+run left on a side, or no pair of good runs, gets no figures there.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ def side(runs):
     out["versions"] = [json.loads(v) for v in out["versions"]]
     for workload, by_seed in sorted(runs.items()):
         good = {s: r for s, r in by_seed.items() if r["correct"] and not r["failed"]}
+        if not good:
+            continue
         out["workloads"][workload] = dict(
             seeds=sorted(good), seconds=sorted({r["seconds"] for r in good.values()}),
             **{m: spread([r["metrics"][m]["value"] for r in good.values()]) for m in METRICS},
@@ -66,6 +69,8 @@ def pairs(parent, change):
         seeds = sorted(s for s in set(parent[workload]) & set(change[workload])
                        if all(r["correct"] and not r["failed"]
                               for r in (parent[workload][s], change[workload][s])))
+        if not seeds:
+            continue
         row = {"seeds": seeds}
         for m in METRICS:
             p = [parent[workload][s]["metrics"][m]["value"] for s in seeds]
